@@ -149,20 +149,13 @@ def _make_program(point: BenchPoint, system):
 
 
 def run_point(point: BenchPoint, mode: str, seed: int = 0,
-              repeats: int = 1, shards: int = 1) -> dict:
+              repeats: int = 1) -> dict:
     """Time one end-to-end job; returns wall/virtual/traffic/energy.
 
     ``repeats`` > 1 reports the best-of-k wall time (standard benchmark
     practice — the minimum is the least noise-contaminated estimate of
     the code's speed).  The simulated quantities are deterministic and
     identical across repeats; only the wall clock varies.
-
-    ``shards`` > 1 additionally times the same point space-parallelized
-    across shard workers (:mod:`repro.simmpi.shard`), asserts the
-    sharded run's modeled quantities are identical to the
-    single-process run, and records ``sharded_wall_s`` /
-    ``shard_speedup`` / per-worker ``shard_walls`` next to the
-    single-process ``wall_s``.
 
     ``maxrss_kb`` records the process peak RSS *after* the point ran —
     a high-water mark, so per-point deltas in a suite are upper bounds;
@@ -203,43 +196,18 @@ def run_point(point: BenchPoint, mode: str, seed: int = 0,
         "total_energy_j": result.total_energy_j,
         "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
-    if shards > 1:
-        sharded_wall = None
-        for _ in range(max(1, repeats)):
-            job = Job(machine, placement, shards=shards)
-            job.sim.fast_collectives = (mode == "fast")
-            job.sim.fast_p2p = (mode == "fast")
-            program = _make_program(point, system)
-            t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
-            sharded = job.run(program)
-            dt = time.perf_counter() - t0  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
-            sharded_wall = dt if sharded_wall is None \
-                else min(sharded_wall, dt)
-        if (sharded.duration != result.duration
-                or sharded.traffic != result.traffic
-                or sharded.total_energy_j != result.total_energy_j):
-            raise AssertionError(
-                f"{point.label}: sharded run diverged from the "
-                f"single-process reference (shards={shards})"
-            )
-        out["shards"] = shards
-        out["sharded_wall_s"] = sharded_wall
-        out["shard_speedup"] = wall / sharded_wall
-        if sharded.shard_walls is not None:
-            out["shard_walls"] = list(sharded.shard_walls)
     return out
 
 
 def run_suite(points=None, quick: bool = False,
               modes: tuple[str, ...] | None = None,
               progress=None, repeats: int = 3,
-              skeleton: bool = False, shards: int = 1) -> dict:
+              skeleton: bool = False) -> dict:
     """Run the benchmark suite; returns the ``BENCH_simperf.json`` dict.
 
     ``skeleton=True`` selects :data:`PAPER_SKELETON_POINTS` (the exact
     skeletons at the paper's n = 34560 on Marconi A3) instead of
-    :data:`DEFAULT_POINTS`.  ``shards`` > 1 times every fast-mode point
-    both single-process and space-parallel (see :func:`run_point`).
+    :data:`DEFAULT_POINTS`.
     """
     if points is None:
         points = PAPER_SKELETON_POINTS if skeleton else DEFAULT_POINTS
@@ -251,10 +219,7 @@ def run_suite(points=None, quick: bool = False,
         for mode in (modes if modes is not None else point.modes):
             if progress is not None:
                 progress(f"{point.label} [{mode}] ...")
-            results[mode] = run_point(
-                point, mode, repeats=repeats,
-                shards=shards if mode == "fast" else 1,
-            )
+            results[mode] = run_point(point, mode, repeats=repeats)
         entry = {
             "label": point.label,
             "solver": point.solver,
@@ -342,14 +307,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--repeats", type=int, default=None,
                         help="best-of-k wall-clock per point (default 3; "
                              "1 for the --skeleton paper-scale suite)")
-    parser.add_argument("--shards", type=int, nargs="?", const=2, default=1,
-                        metavar="N",
-                        help="also time each fast-mode point sharded "
-                             "across N worker processes (default 2 when "
-                             "given without a value) and record the "
-                             "shard speedup; modeled quantities are "
-                             "asserted identical to the single-process "
-                             "run")
     parser.add_argument("--json", action="store_true",
                         help="print the report as JSON instead of a table")
     parser.add_argument("--table", action="store_true",
@@ -416,8 +373,7 @@ def run_from_args(args) -> int:
     report = run_suite(points=points, quick=args.quick, modes=modes,
                        progress=lambda msg: print(msg, flush=True),
                        repeats=repeats,
-                       skeleton=skeleton,
-                       shards=getattr(args, "shards", 1) or 1)
+                       skeleton=skeleton)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -255,14 +255,6 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"{args.config}: {exc}", file=sys.stderr)
         return 2
-    if args.shards is not None:
-        # --shards beats the config's shards: key.  Execution detail
-        # only — cache addresses and results are unchanged, so replacing
-        # the tasks wholesale is safe.
-        from dataclasses import replace
-
-        tasks = [replace(t, shards=args.shards) if t.mode == "skeleton"
-                 else t for t in tasks]
     print(describe_cache(), file=sys.stderr, flush=True)
     report = run_sweep(
         jobs=args.jobs, quick=args.quick, tasks=tasks,
@@ -451,10 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "DES at paper scale) instead of experiment:")
     p.add_argument("--jobs", "-j", type=int, default=1,
                    help="worker processes (default 1 = in-process)")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="space-parallel shard workers per skeleton-mode "
-                        "DES run (bit-identical results; beats the "
-                        "config's shards: key)")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON")
     p.add_argument("--quiet", action="store_true",

@@ -259,7 +259,6 @@ def run_skeleton(
     machine: MachineSpec | None = None,
     repetitions: int = 1,
     nb: int = 64,
-    shards: int = 1,
 ) -> ConfigResult:
     """Run the exact communication skeleton through the DES (paper scale).
 
@@ -269,14 +268,12 @@ def run_skeleton(
     machine while every modeled quantity stays bitwise equal to a full
     solver run of the same Job.  The run is deterministic (zero fabric
     jitter / node spread), so one evaluation covers any repetition
-    count: ``stdev_duration`` is exactly 0.  ``shards`` > 1 runs the
-    DES space-parallel (:mod:`repro.simmpi.shard`) — same results
-    bit for bit, less wall-clock on multi-core hosts.
+    count: ``stdev_duration`` is exactly 0.
     """
     from repro.obs.symbolic import run_skeleton_job
 
     result = run_skeleton_job(algorithm, n, ranks, shape=shape,
-                              machine=machine, nb=nb, shards=shards)
+                              machine=machine, nb=nb)
     domains = sorted({d for (_node, d) in result.node_energy_j})
     return ConfigResult(
         algorithm=algorithm,

@@ -95,9 +95,6 @@ class GridSpec:
     repetitions: int = PAPER_REPETITIONS
     seed: int = 0
     power_caps: tuple[float | None, ...] = (None,)
-    #: shard workers per skeleton-mode DES run (execution only — results
-    #: and cache addresses are unchanged; see repro.simmpi.shard)
-    shards: int = 1
 
     def iter_points(self):
         """(n, ranks) pairs in deterministic grid order."""
@@ -270,8 +267,7 @@ def _load_power_caps(walk: Walker, mapping: dict, field_path: str):
 
 
 _GRID_KEYS = {"mode", "machine", "algorithms", "matrix_sizes", "ranks",
-              "points", "shapes", "repetitions", "seed", "power_caps",
-              "shards"}
+              "points", "shapes", "repetitions", "seed", "power_caps"}
 
 
 def _load_grid(walk: Walker, node, field_path: str,
@@ -363,24 +359,13 @@ def _load_grid(walk: Walker, node, field_path: str,
                    "does not take a cap)")
         power_caps = (None,)
 
-    shards = walk.get(mapping, "shards", int, field_path, default=1)
-    if shards is not None and shards < 1:
-        walk.error(mapping["shards"].line, f"{field_path}.shards",
-                   f"shards must be >= 1, got {shards}")
-        shards = 1
-    if shards is not None and shards > 1 and mode != SKELETON_MODE:
-        walk.error(mapping["shards"].line, f"{field_path}.shards",
-                   "shards apply to skeleton (space-parallel DES) grids "
-                   "only; analytic and monitored runs are single-process")
-        shards = 1
-
     if not walk.ok:
         return None
     return GridSpec(
         mode=mode, machine=machine, algorithms=tuple(algorithms),
         matrix_sizes=matrix_sizes, ranks=ranks, points=points,
         shapes=tuple(shapes), repetitions=repetitions, seed=seed,
-        power_caps=power_caps, shards=shards,
+        power_caps=power_caps,
     )
 
 
@@ -665,8 +650,6 @@ def _grid_data(grid: GridSpec) -> dict:
         data["seed"] = grid.seed
     if grid.power_caps != (None,):
         data["power_caps"] = list(grid.power_caps)
-    if grid.shards != 1:
-        data["shards"] = grid.shards
     return data
 
 
@@ -743,6 +726,5 @@ def compile_tasks(spec: RunSpec, quick: bool = False,
                         grid.repetitions, grid.seed,
                         machine=machine, power_cap_w=cap,
                         solver_options=options, trace_dir=trace_dir,
-                        shards=grid.shards,
                     ))
     return tasks

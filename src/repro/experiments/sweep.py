@@ -69,10 +69,6 @@ class SweepTask:
     #: write per-repetition Chrome traces here (observer only: results
     #: and cache addresses are unaffected; traces need a cold run)
     trace_dir: str | None = None
-    #: shard workers for skeleton-mode DES runs (execution detail only:
-    #: sharded runs are bit-identical to single-process, so this is
-    #: deliberately NOT part of the cache key — see _task_config)
-    shards: int = 1
 
     @property
     def label(self) -> str:
@@ -131,9 +127,6 @@ def _task_config(task: SweepTask) -> dict:
         config["power_cap_w"] = task.power_cap_w
     if task.solver_options:
         config["solver_options"] = {k: v for k, v in task.solver_options}
-    # task.shards is intentionally absent: a sharded skeleton run is
-    # bit-identical to the single-process reference, so both share one
-    # cache entry (and a warm cache answers either form of the request).
     return config
 
 
@@ -209,8 +202,7 @@ def _compute_task(task: SweepTask):
         return run_skeleton(task.algorithm, task.n, task.ranks, shape,
                             machine=machine,
                             repetitions=task.repetitions,
-                            nb=fields.get("nb", 64),
-                            shards=task.shards)
+                            nb=fields.get("nb", 64))
     from repro.workloads.generator import generate_system
 
     tracer_factory, tracers = None, []

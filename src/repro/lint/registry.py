@@ -19,7 +19,7 @@ class RuleSpec:
     """Everything the tooling knows about one rule."""
 
     id: str
-    family: str        # SIM / DET / FAST / SHARD / MPI / MPIS / OBS / PERF / CFG / SRV / UNIT / E
+    family: str        # SIM / DET / FAST / MPI / MPIS / OBS / PERF / CFG / SRV / UNIT / E
     summary: str       # one line, shows up in tables and SARIF
     rationale: str     # why this is a defect in *this* codebase
     bad: str           # minimal violating example
@@ -134,29 +134,6 @@ RULES: tuple[RuleSpec, ...] = (
             "    return (fastcoll.fast_bcast(self, payload, root)\n"
             "            if self.world.sim.fast_collectives\n"
             "            else self._bcast_message(payload, root))\n"
-        ),
-    ),
-    RuleSpec(
-        id="SHARD001", family="SHARD",
-        summary="shard hand-off without a shard-gated in-process fallback",
-        rationale=(
-            "Sharded runs are bit-identical to the single-process "
-            "reference only while both stay reachable; a cross-shard "
-            "hand-off that does not consult the world's `shard` "
-            "attribute retires the in-process path for every run."
-        ),
-        bad=(
-            "from repro.simmpi import shard\n\n"
-            "def send(self, payload, dest, tag, nbytes):\n"
-            "    return shard.shard_send(self, payload, dest, tag, nbytes)\n"
-        ),
-        good=(
-            "from repro.simmpi import shard\n\n"
-            "def send(self, payload, dest, tag, nbytes):\n"
-            "    world = self.world\n"
-            "    if world.shard is not None and world.shard.remote(self, dest):\n"
-            "        return shard.shard_send(self, payload, dest, tag, nbytes)\n"
-            "    return self._send_message(payload, dest, tag, nbytes)\n"
         ),
     ),
     RuleSpec(

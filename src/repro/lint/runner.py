@@ -33,7 +33,6 @@ from repro.lint import (
     rules_mpis,
     rules_obs,
     rules_perf,
-    rules_shard,
     rules_sim,
     rules_srv,
     rules_unit,
@@ -133,7 +132,6 @@ def _lint_module(module: ModuleInfo, facts: _TreeFacts) -> list[Finding]:
         findings.extend(rules_det_flow.check(
             module, graph=facts.graph, return_taints=facts.det_ctx))
     findings.extend(rules_fast.check(module))
-    findings.extend(rules_shard.check(module))
     findings.extend(rules_mpi.check(module))
     findings.extend(rules_mpis.check(module))
     findings.extend(rules_obs.check(module))

@@ -456,7 +456,6 @@ def run_skeleton_job(
     seed: int = 0,
     profile=None,
     fast: bool = True,
-    shards: int = 1,
 ) -> JobResult:
     """Run an exact skeleton as a raw deterministic job.
 
@@ -478,7 +477,7 @@ def run_skeleton_job(
     placement = Placement(
         layout_for(ranks, shape, machine, allow_tail=True), machine
     )
-    job = Job(machine, placement, profile=profile, seed=seed, shards=shards)
+    job = Job(machine, placement, profile=profile, seed=seed)
     job.sim.fast_collectives = fast
     job.sim.fast_p2p = fast
     opts = SymbolicOptions(nb=nb)

@@ -36,9 +36,6 @@ class JobResult:
     node_energy_j: dict[tuple[int, str], float]
     traffic: dict
     placement: Placement
-    #: wall-clock seconds per shard worker when the run was space-parallel
-    #: (see :mod:`repro.simmpi.shard`); ``None`` for single-process runs
-    shard_walls: tuple | None = None
 
     @property
     def total_energy_j(self) -> float:
@@ -78,12 +75,11 @@ class Job:
         seed: int = 0,
         fabric_jitter: float = 0.0,
         node_efficiency_spread: float = 0.0,
-        shards: int = 1,
     ):
         self.machine = machine
         self.placement = placement
         self.profile = profile if profile is not None else ComputeProfile()
-        self.sim = Simulator(shards=shards)
+        self.sim = Simulator()
         self.fabric = ClusterFabric(
             machine.network, jitter_frac=fabric_jitter, seed=seed
         )
@@ -180,36 +176,7 @@ class Job:
         return contexts
 
     def run(self, program: Callable, **kwargs) -> JobResult:
-        """Run ``program(ctx, comm, **kwargs)`` on every rank to completion.
-
-        With ``Simulator(shards=N)`` (N > 1) and neither tracer nor
-        sanitizer attached, the run is space-parallelized across worker
-        processes (:mod:`repro.simmpi.shard`) — bit-identical in times,
-        traffic, energy, and results to the single-process path below,
-        which remains the reference.
-        """
-        if (self.sim.shards > 1 and self.sim.tracer is None
-                and self.sim.sanitizer is None):
-            from repro.simmpi import shard as _shard
-
-            parts = _shard.partition_ranks(
-                self.placement.node_of, self.placement.n_ranks,
-                self.sim.shards,
-            )
-            if len(parts) > 1:
-                duration, results, energy, traffic, walls = (
-                    _shard.run_sharded(self, program, self.sim.shards,
-                                       **kwargs)
-                )
-                return JobResult(
-                    rank_results=[results[r]
-                                  for r in range(self.placement.n_ranks)],
-                    duration=duration,
-                    node_energy_j=energy,
-                    traffic=traffic,
-                    placement=self.placement,
-                    shard_walls=walls,
-                )
+        """Run ``program(ctx, comm, **kwargs)`` on every rank to completion."""
         comms = self.world.comm_world()
         contexts = self.make_contexts()
         # Every allocated core busy-waits for the whole job (MPI progress

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.simmpi import fastcoll, fastp2p, shard
+from repro.simmpi import fastcoll, fastp2p
 from repro.simmpi.datatypes import copy_payload, payload_nbytes
 from repro.simmpi.engine import Simulator, WaitEvent, acquire_delay
 from repro.simmpi.errors import CommMismatchError, SimMPIError
@@ -319,12 +319,6 @@ class World:
         #: observability hook shared by every communicator of this world
         #: (see :mod:`repro.obs.tracer`); ``None`` disables span recording
         self.tracer = None
-        #: shard-worker runtime (see :mod:`repro.simmpi.shard`); ``None``
-        #: outside sharded execution.  Every dispatch on it below is
-        #: gated on this attribute — lint rule SHARD001 enforces that no
-        #: cross-shard state is reached except through the barrier
-        #: exchange it implements.
-        self.shard = None
         #: runtime protocol checker (see :mod:`repro.simmpi.sanitizer`);
         #: inherited from the simulator, ``None`` when sanitizing is off
         self.sanitizer = sim.sanitizer
@@ -453,8 +447,6 @@ class Communicator:
         """
         self._check_rank(dest, "destination")
         world = self.world
-        if world.shard is not None and world.shard.remote(self, dest):
-            return shard.shard_isend(self, payload, dest, tag, nbytes)
         if self._flow_send_ok(dest, tag):
             return fastp2p.fast_isend(self, payload, dest, tag, nbytes)
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
@@ -508,8 +500,6 @@ class Communicator:
         """
         self._check_rank(dest, "destination")
         world = self.world
-        if world.shard is not None and world.shard.remote(self, dest):
-            return shard.shard_send(self, payload, dest, tag, nbytes)
         if self._flow_send_ok(dest, tag):
             return fastp2p.fast_send(self, payload, dest, tag, nbytes)
         return self._send_message(payload, dest, tag, nbytes)
@@ -523,15 +513,6 @@ class Communicator:
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
         world = self.world
-        if world.shard is not None:
-            if (source == ANY_SOURCE and world.shard.spans(self)) or (
-                    source != ANY_SOURCE
-                    and world.shard.remote(self, source)):
-                raise shard.ShardError(
-                    "irecv cannot match cross-shard messages (pending-"
-                    "receive bookkeeping is mailbox-local); use a "
-                    "blocking recv with an exact source, or shards=1"
-                )
         if world.sim.fast_p2p:
             # Pending-receive bookkeeping lives in the mailbox: flush this
             # rank's flows into it and stay message-level from here on.
@@ -569,16 +550,6 @@ class Communicator:
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Non-blocking probe; returns the envelope or ``None``."""
-        world = self.world
-        if world.shard is not None:
-            if (source == ANY_SOURCE and world.shard.spans(self)) or (
-                    source != ANY_SOURCE
-                    and world.shard.remote(self, source)):
-                raise shard.ShardError(
-                    "probe cannot observe cross-shard messages (envelopes "
-                    "live in the sender's shard until the window barrier); "
-                    "probe a shard-local source or run with shards=1"
-                )
         if self.world.sim.fast_p2p:
             # Probing inspects the mailbox, so in-flight flows must land
             # there first (and stay there — degradation is sticky).
@@ -636,16 +607,6 @@ class Communicator:
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
         world = self.world
-        if world.shard is not None:
-            if source == ANY_SOURCE:
-                if world.shard.spans(self):
-                    raise shard.ShardError(
-                        "ANY_SOURCE receive on a communicator spanning "
-                        "shards (cross-flow arbitration needs the global "
-                        "mailbox); use an exact source or shards=1"
-                    )
-            elif world.shard.remote(self, source):
-                return shard.shard_recv(self, source, tag, with_status)
         if world.sim.fast_p2p:
             if (source != ANY_SOURCE and tag >= 0
                     and world.tracer is None and world.sanitizer is None
@@ -697,8 +658,6 @@ class Communicator:
         per-level gather→bcast→bcast exchange registers on.
         """
         world = self.world
-        if world.shard is not None and world.shard.spans(self):
-            return shard.shard_coll(self, "pipeline", steps=steps)
         if (world.sim.fast_p2p and world.tracer is None
                 and world.sanitizer is None):
             return fastp2p.fast_pipeline(self, steps)
@@ -772,9 +731,6 @@ class Communicator:
         world = self.world
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "bcast", root)
-        if world.shard is not None and world.shard.spans(self):
-            return shard.shard_coll(self, "bcast", payload=payload,
-                                    root=root, nbytes=nbytes)
         gen = (fastcoll.fast_bcast(self, payload, root, nbytes)
                if world.sim.fast_collectives
                else self._bcast_message(payload, root, nbytes))
@@ -809,9 +765,6 @@ class Communicator:
         world = self.world
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "gather", root)
-        if world.shard is not None and world.shard.spans(self):
-            return shard.shard_coll(self, "gather", payload=payload,
-                                    root=root)
         gen = (fastcoll.fast_gather(self, payload, root)
                if world.sim.fast_collectives
                else self._gather_message(payload, root))
@@ -848,9 +801,6 @@ class Communicator:
         world = self.world
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "scatter", root)
-        if world.shard is not None and world.shard.spans(self):
-            return shard.shard_coll(self, "scatter", payload=payloads,
-                                    root=root, nbytes=nbytes)
         gen = (fastcoll.fast_scatter(self, payloads, root, nbytes)
                if world.sim.fast_collectives
                else self._scatter_message(payloads, root, nbytes))
@@ -883,9 +833,6 @@ class Communicator:
         world = self.world
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "reduce", root)
-        if world.shard is not None and world.shard.spans(self):
-            return shard.shard_coll(self, "reduce", payload=payload,
-                                    root=root, op=op)
         gen = (fastcoll.fast_reduce(self, payload, op, root)
                if world.sim.fast_collectives
                else self._reduce_message(payload, op, root))
@@ -918,9 +865,6 @@ class Communicator:
         world = self.world
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "allreduce")
-        if world.shard is not None and world.shard.spans(self):
-            return shard.shard_coll(self, "allreduce", payload=payload,
-                                    op=op)
         if world.tracer is None:
             if world.sim.fast_collectives:
                 return fastcoll.fast_allreduce(self, payload, op)
@@ -936,8 +880,6 @@ class Communicator:
         world = self.world
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "allgather")
-        if world.shard is not None and world.shard.spans(self):
-            return shard.shard_coll(self, "allgather", payload=payload)
         if world.tracer is None:
             if world.sim.fast_collectives:
                 return fastcoll.fast_allgather(self, payload)
@@ -1002,12 +944,6 @@ class Communicator:
             raise CommMismatchError(
                 f"alltoall needs {self.size} payloads, got {len(payloads)}"
             )
-        if self.world.shard is not None and self.world.shard.spans(self):
-            raise shard.ShardError(
-                "alltoall on a communicator spanning shards is not "
-                "supported (its receive side needs ANY_SOURCE matching); "
-                "restructure on shard-local communicators or run shards=1"
-            )
         tag = self._next_coll_tag()
         out: list[Any] = [None] * self.size
         out[self.rank] = copy_payload(payloads[self.rank])
@@ -1027,8 +963,6 @@ class Communicator:
         world = self.world
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "barrier")
-        if world.shard is not None and world.shard.spans(self):
-            return shard.shard_coll(self, "barrier")
         if world.tracer is None:
             if world.sim.fast_collectives:
                 return fastcoll.fast_barrier(self)
@@ -1064,15 +998,7 @@ class Communicator:
         reg_key = (self.cid, self._split_seq, color)
         shared = self.world._split_registry.get(reg_key)
         if shared is None:
-            if self.world.shard is not None:
-                # Shard workers allocate cids independently; a counter
-                # would diverge across workers, so derive a deterministic
-                # structural cid instead.  cids are only dict keys —
-                # never a modeled quantity — so the reference run's
-                # integer cids and these tuples are interchangeable.
-                shared = {"cid": ("s", self.cid, self._split_seq, color)}
-            else:
-                shared = {"cid": next(self.world._comm_ids)}
+            shared = {"cid": next(self.world._comm_ids)}
             self.world._split_registry[reg_key] = shared
         return Communicator(
             self.world, shared["cid"], rank=new_rank, group=group, parent=self

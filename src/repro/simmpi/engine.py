@@ -339,8 +339,7 @@ class Simulator:
 
     def __init__(self, fast_collectives: bool = True,
                  fast_p2p: bool = False,
-                 sanitize: bool | None = None,
-                 shards: int = 1):
+                 sanitize: bool | None = None):
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = 0
@@ -371,13 +370,6 @@ class Simulator:
         #: :mod:`repro.simmpi.fastp2p`); off by default — the message-level
         #: path is the bit-identical reference
         self.fast_p2p = fast_p2p
-        #: space-parallel DES: partition the rank set across this many
-        #: worker processes for a single run (see
-        #: :mod:`repro.simmpi.shard`).  ``1`` — the default — is the
-        #: single-process reference path; tracer and sanitizer force it.
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
 
     @property
     def now(self) -> float:
@@ -457,43 +449,6 @@ class Simulator:
         if self.sanitizer is not None and until is None:
             self.sanitizer.check_finalize()
         return self._now
-
-    def drain(self) -> float:
-        """Run the event loop until the heap empties, without the
-        deadlock check.
-
-        Shard workers (:mod:`repro.simmpi.shard`) quiesce between
-        synchronization windows: ranks parked on cross-shard operations
-        are *expected* to be blocked with no pending events, so draining
-        must return control to the worker runtime instead of raising
-        :class:`DeadlockError`.  Process failures still propagate.
-        """
-        while self._heap:
-            if self._failure is not None:
-                proc, exc = self._failure
-                raise exc
-            time, _seq, fn, arg = heapq.heappop(self._heap)
-            self._now = time
-            fn(arg)
-        if self._failure is not None:
-            proc, exc = self._failure
-            raise exc
-        return self._now
-
-    def rewind(self, time: float) -> None:
-        """Move the clock backward to ``time`` (shard window barriers).
-
-        Cross-shard completions resolved at a window barrier may precede
-        the local clock, which advanced past them while other ranks kept
-        simulating.  Rewinding is only legal at quiescence — the heap
-        must be empty, so no already-scheduled event can observe the
-        jump — and only in shard mode, where tracer and sanitizer (which
-        assert clock monotonicity) are forced off.
-        """
-        if self._heap:
-            raise RuntimeError("cannot rewind a simulator with pending events")
-        if time < self._now:
-            self._now = time
 
     def run_all(self, gens: Iterable[tuple[str, Generator]],
                 until: float | None = None) -> dict[str, Any]:

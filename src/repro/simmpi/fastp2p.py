@@ -94,8 +94,7 @@ class _Flow:
     exactly as mailbox delivery would.
     """
 
-    __slots__ = ("world", "src", "dst", "tag", "msgs", "slot", "with_status",
-                 "park_t")
+    __slots__ = ("world", "src", "dst", "tag", "msgs", "slot", "with_status")
 
     def __init__(self, world, src: int, dst: int, tag: int):
         self.world = world
@@ -105,12 +104,6 @@ class _Flow:
         self.msgs: list[tuple[float, int, Any, int]] = []
         self.slot: list = [None]
         self.with_status = False
-        #: virtual time the current receiver parked at; cross-shard
-        #: message injection (:mod:`repro.simmpi.shard`) schedules the
-        #: arrival callback at ``max(arrival, park_t)`` so a message
-        #: resolved at a window barrier completes exactly when the
-        #: reference would have completed it
-        self.park_t = 0.0
 
     def _on_arrival(self, _arg) -> None:
         """Complete the parked receiver with the queue head, if its time
@@ -227,7 +220,6 @@ def fast_recv(comm, source: int, tag: int, with_status: bool):
             f"src={source}, dst={comm.rank}, tag={tag})"
         )
     flow.with_status = with_status
-    flow.park_t = now
     if flow.msgs:
         sim.schedule_at(flow.msgs[0][0], flow._on_arrival, None)
     value = yield Park(flow.slot, 0)

@@ -19,7 +19,6 @@ NEW_FAMILY_RULES = frozenset({
     "UNIT001", "UNIT002", "UNIT003",
     "DET101", "DET102",
     "MPIS001", "MPIS002", "MPIS003",
-    "SHARD001",
     "SRV001",
 })
 

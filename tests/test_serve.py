@@ -11,6 +11,7 @@ streaming, single-flight dedup, model pinning, bounded eviction).
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -243,9 +244,24 @@ class TestRunContract:
 class TestSingleFlight:
     CLIENTS = 6
 
-    def test_identical_cold_requests_cost_one_computation(self, server):
+    def test_identical_cold_requests_cost_one_computation(
+            self, server, monkeypatch):
         port = port_of(server)
-        before = server.scheduler.stats()
+        scheduler = server.scheduler
+        before = scheduler.stats()
+        # The scheduler writes back before it retires the flight, so
+        # holding the write-back keeps the flight open until every other
+        # client has joined it; otherwise a late client hits the cache
+        # instead of coalescing.  The hold is bounded: a dedup bug fails
+        # the asserts below rather than hanging the test.
+        all_joined = threading.Event()
+        store = scheduler._store
+
+        def gated_store(flight, row):
+            all_joined.wait(timeout=30)
+            store(flight, row)
+
+        monkeypatch.setattr(scheduler, "_store", gated_store)
         barrier = threading.Barrier(self.CLIENTS)
         results, errors = [], []
 
@@ -263,12 +279,17 @@ class TestSingleFlight:
                    for _ in range(self.CLIENTS)]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 30
+        while (scheduler.stats()["coalesced"] - before["coalesced"]
+               < self.CLIENTS - 1 and time.monotonic() < deadline):
+            time.sleep(0.005)
+        all_joined.set()
         for t in threads:
             t.join()
 
         assert errors == []
         assert len(results) == self.CLIENTS
-        after = server.scheduler.stats()
+        after = scheduler.stats()
         assert after["launched"] - before["launched"] == 1
         assert after["coalesced"] - before["coalesced"] == self.CLIENTS - 1
         first = results[0]["result"]

@@ -245,14 +245,18 @@ class TestSchemaErrors:
         assert err.line == 4
         assert "experiment.repetitions" in err.format()
 
-    def test_unknown_key_rejected(self):
+    @pytest.mark.parametrize("key, value", [
+        ("matrix_size", "[17280]"),
+        ("shards", "2"),
+    ], ids=["matrix_size", "shards"])
+    def test_unknown_key_rejected(self, key, value):
         _, issues = check_text(
             "experiment:\n"
             "  matrix_sizes: [8640]\n"
             "  ranks: [144]\n"
-            "  matrix_size: [17280]\n"
+            f"  {key}: {value}\n"
         )
-        assert any("matrix_size" in e.message for e in errors_of(issues))
+        assert any(key in e.message for e in errors_of(issues))
 
     def test_wrong_type_names_field_and_expectation(self):
         _, issues = check_text(
