@@ -28,6 +28,7 @@ from pathlib import Path
 
 from repro.cluster.machine import marconi_a3, small_test_machine
 from repro.cluster.placement import LoadShape, place_ranks
+from repro.hostinfo import host_note, host_stanza
 from repro.runtime.job import Job
 from repro.workloads.generator import generate_system
 
@@ -211,6 +212,9 @@ def run_suite(points=None, quick: bool = False,
     """
     if points is None:
         points = PAPER_SKELETON_POINTS if skeleton else DEFAULT_POINTS
+    # Per point, not per file: ``--write`` merges points by label, so one
+    # file can hold points measured on different hosts.
+    host = host_stanza()
     entries = []
     for point in points:
         if quick and not point.quick:
@@ -228,6 +232,7 @@ def run_suite(points=None, quick: bool = False,
             "nb": point.nb,
             "quick": point.quick,
             "machine": point.machine,
+            "host": host,
             "results": results,
         }
         if "fast" in results and "message" in results:
@@ -285,7 +290,8 @@ def check_regression(current: dict, baseline: dict,
         if cur_fast["wall_s"] > factor * base_fast["wall_s"]:
             failures.append(
                 f"{entry['label']}: fast wall {cur_fast['wall_s']:.3f}s "
-                f"> {factor:.1f}x baseline {base_fast['wall_s']:.3f}s"
+                f"> {factor:.1f}x baseline {base_fast['wall_s']:.3f}s "
+                f"({host_note(base.get('host'))})"
             )
     return failures
 

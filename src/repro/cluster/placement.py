@@ -78,6 +78,26 @@ class Layout:
     def sockets_used(self) -> int:
         return sum(1 for r in self.ranks_per_socket if r > 0)
 
+    def socket_occupancies(self, sockets_per_node: int) -> list[tuple[int, ...]]:
+        """Per-node ``(ranks on socket 0, ranks on socket 1, ...)`` tuples
+        of the placement :class:`Placement` builds for this layout, without
+        building it: full nodes carry ``ranks_per_socket`` (padded to
+        ``sockets_per_node``), and the tail node is block-filled in shape
+        order, as :class:`Placement` fills it."""
+        if len(self.ranks_per_socket) > sockets_per_node:
+            raise ValueError("layout uses more sockets than the machine has")
+        pad = (0,) * (sockets_per_node - len(self.ranks_per_socket))
+        full_nodes = self.nodes - (1 if self.tail_ranks else 0)
+        occupancies = [tuple(self.ranks_per_socket) + pad] * full_nodes
+        if self.tail_ranks:
+            remaining = self.tail_ranks
+            tail = []
+            for count in self.ranks_per_socket:
+                tail.append(min(count, remaining))
+                remaining -= tail[-1]
+            occupancies.append(tuple(tail) + pad)
+        return occupancies
+
     def describe(self) -> str:
         tail = f" + {self.tail_ranks}-rank tail" if self.tail_ranks else ""
         return (f"{self.ranks} ranks on {self.nodes} nodes "
@@ -181,6 +201,16 @@ class Placement:
     def ranks_on_socket(self, node_id: int, socket_id: int) -> list[int]:
         return [r for r, core in enumerate(self._assignments)
                 if core.node_id == node_id and core.socket_id == socket_id]
+
+    def socket_occupancies(self) -> list[tuple[int, ...]]:
+        """Per-node ``(ranks on socket 0, ranks on socket 1, ...)`` tuples,
+        counted in one pass over the rank map (subclasses may rebind
+        ranks, so this reads the map rather than the layout)."""
+        counts = [[0] * self.machine.sockets_per_node
+                  for _ in range(self.layout.nodes)]
+        for core in self._assignments:
+            counts[core.node_id][core.socket_id] += 1
+        return [tuple(node) for node in counts]
 
     def active_sockets(self, node_id: int) -> list[int]:
         return sorted({core.socket_id for core in self._assignments

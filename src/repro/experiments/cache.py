@@ -25,6 +25,7 @@ to ``off`` — or ``0``/empty — to disable caching entirely).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -59,12 +60,15 @@ def calibration_fingerprint(calib: Calibration) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=64)
 def model_fingerprint(calib: Calibration, machine: MachineSpec) -> str:
     """Hash of every model input the analytic evaluator depends on.
 
     Both are (nested) frozen dataclasses, so ``asdict`` enumerates every
     coefficient; any change to any field yields a new fingerprint and
-    therefore a different cache address for every configuration.
+    therefore a different cache address for every configuration.  Being
+    frozen they are also hashable, so the hash is memoized per model
+    (a process sees a handful), as ``runner``'s L1 already keys on them.
     """
     payload = {
         "schema": ENTRY_SCHEMA,

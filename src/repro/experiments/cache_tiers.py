@@ -98,10 +98,13 @@ class TieredResultCache:
             return self._total_bytes
 
     # ---------------------------------------------------------------- get/put
-    def get(self, config: dict, fingerprint: str) -> dict | None:
+    def get(self, config: dict, fingerprint: str,
+            address: str | None = None) -> dict | None:
         """Raw result dict, or None.  L1 first, then disk (promoting the
-        hit into L1); every counter update happens under the lock."""
-        address = self.address(config, fingerprint)
+        hit into L1); every counter update happens under the lock.
+        ``address`` passes in an address the caller already computed."""
+        if address is None:
+            address = self.address(config, fingerprint)
         with self._lock:
             row = self._l1.get(address)
             if row is not None:

@@ -2,7 +2,17 @@
 
 ``run_analytic`` evaluates a configuration at paper scale through the
 analytic model (ten seeded repetitions modelling the changing node sets);
+``run_analytic_batch`` does the same for a list of configurations;
 ``run_monitored`` runs the full monitored DES pipeline at validation scale.
+
+Every analytic miss — ``run_analytic``, ``run_analytic_batch``, and so
+``repro sweep``, the figure builders and the serving daemon — is
+evaluated by one engine,
+:func:`~repro.perfmodel.analytic.analytic_repetitions`, which shares a
+configuration's seed-independent base across its repetitions.  The
+per-repetition loop over ``analytic_run`` it replaces is kept in the
+tests as the bitwise oracle.
+
 Analytic results are cached at two levels: an in-process ``lru_cache``
 (the figure builders share many configurations) backed by the
 content-addressed disk cache of :mod:`repro.experiments.cache`, which
@@ -22,7 +32,12 @@ from repro.cluster.placement import LoadShape
 from repro.core.framework import ExperimentSpec, MonitoringFramework
 from repro.experiments.cache import default_result_cache, model_fingerprint
 from repro.experiments.configs import PAPER_REPETITIONS
-from repro.perfmodel.analytic import analytic_repetitions, analytic_run
+# ``analytic_run`` is unused here but stays a module attribute:
+# perfbench/tracing.py patches both names on this module.
+from repro.perfmodel.analytic import (  # noqa: F401
+    analytic_repetitions,
+    analytic_run,
+)
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION, Calibration
 
 
@@ -81,22 +96,12 @@ def _run_analytic_cached(
     power_cap_w: float | None, calib: Calibration, machine: MachineSpec,
 ) -> ConfigResult:
     """L1 (lru, this process) over L2 (content-addressed disk) over the
-    actual evaluation."""
-    disk = default_result_cache()
-    if disk is not None:
-        config = _config_key(algorithm, n, ranks, shape, repetitions,
-                             base_seed, spread, jitter, power_cap_w)
-        fingerprint = model_fingerprint(calib, machine)
-        hit = disk.get(config, fingerprint)
-        if hit is not None:
-            return hit
-    result = _evaluate_analytic(
-        algorithm, n, ranks, shape, repetitions, base_seed, spread,
-        jitter, power_cap_w, calib, machine,
+    batched engine."""
+    return _evaluate_cached(
+        default_result_cache(), model_fingerprint(calib, machine),
+        algorithm, n, ranks, shape, repetitions, base_seed, spread, jitter,
+        power_cap_w, calib, machine,
     )
-    if disk is not None:
-        disk.put(config, fingerprint, result)
-    return result
 
 
 def _aggregate_analytic(
@@ -105,13 +110,31 @@ def _aggregate_analytic(
 ) -> ConfigResult:
     """Fold per-repetition AnalyticResults into one ConfigResult.
 
-    Shared verbatim by the reference loop and the batched evaluator, so
-    the two paths can only diverge in the runs themselves — which the
-    bit-identity tests pin."""
+    One pass per run buckets its ``node_energy_j`` values, in dict order,
+    by domain and into the package, DRAM and total lists; each list is
+    then reduced with the builtin ``sum``, the same call on the same
+    sequence as the ``AnalyticResult`` properties make, so the floats are
+    theirs bit for bit."""
     durations = [r.duration for r in runs]
-    domains = sorted({d for r in runs for (_n, d) in r.node_energy_j})
+    domain_sums: list[dict] = []
+    totals, packages, drams = [], [], []
+    for r in runs:
+        by_domain: dict[str, list] = {}
+        total, package, dram = [], [], []
+        for (_node, d), v in r.node_energy_j.items():
+            by_domain.setdefault(d, []).append(v)
+            total.append(v)
+            if d.startswith("package"):
+                package.append(v)
+            elif d.startswith("dram"):
+                dram.append(v)
+        domain_sums.append({d: sum(vs) for d, vs in by_domain.items()})
+        totals.append(sum(total))
+        packages.append(sum(package))
+        drams.append(sum(dram))
+    domains = sorted({d for sums in domain_sums for d in sums})
     domain_means = {
-        d: statistics.fmean(r.domain_energy_j(d) for r in runs)
+        d: statistics.fmean(sums.get(d, 0) for sums in domain_sums)
         for d in domains
     }
     return ConfigResult(
@@ -122,40 +145,30 @@ def _aggregate_analytic(
         repetitions=repetitions,
         mean_duration=statistics.fmean(durations),
         stdev_duration=statistics.stdev(durations) if len(runs) > 1 else 0.0,
-        mean_total_j=statistics.fmean(r.total_energy_j for r in runs),
-        mean_package_j=statistics.fmean(r.package_energy_j for r in runs),
-        mean_dram_j=statistics.fmean(r.dram_energy_j for r in runs),
+        mean_total_j=statistics.fmean(totals),
+        mean_package_j=statistics.fmean(packages),
+        mean_dram_j=statistics.fmean(drams),
         domain_means_j=domain_means,
     )
 
 
-def _evaluate_analytic(
+def _evaluate_cached(
+    disk, fingerprint: str,
     algorithm: str, n: int, ranks: int, shape: LoadShape,
     repetitions: int, base_seed: int, spread: float, jitter: float,
     power_cap_w: float | None, calib: Calibration, machine: MachineSpec,
 ) -> ConfigResult:
-    runs = [
-        analytic_run(
-            algorithm, n, ranks, shape, machine,
-            calib=calib,
-            seed=base_seed + rep,
-            node_efficiency_spread=spread,
-            fabric_jitter=jitter,
-            power_cap_w=power_cap_w,
-        )
-        for rep in range(repetitions)
-    ]
-    return _aggregate_analytic(algorithm, n, ranks, shape, repetitions, runs)
-
-
-def _evaluate_analytic_batched(
-    algorithm: str, n: int, ranks: int, shape: LoadShape,
-    repetitions: int, base_seed: int, spread: float, jitter: float,
-    power_cap_w: float | None, calib: Calibration, machine: MachineSpec,
-) -> ConfigResult:
-    """The batched engine: one base evaluation shared by all repetitions
-    (see :func:`repro.perfmodel.analytic.analytic_repetitions`), bitwise
-    equal to :func:`_evaluate_analytic`."""
+    """One configuration through ``disk`` (None: no cache).  A hit is
+    returned as stored; a miss is evaluated by the batched engine — one
+    base evaluation shared by all repetitions, see
+    :func:`repro.perfmodel.analytic.analytic_repetitions` — and written
+    back."""
+    if disk is not None:
+        config = _config_key(algorithm, n, ranks, shape, repetitions,
+                             base_seed, spread, jitter, power_cap_w)
+        hit = disk.get(config, fingerprint)
+        if hit is not None:
+            return hit
     runs = analytic_repetitions(
         algorithm, n, ranks, shape, machine,
         calib=calib,
@@ -165,7 +178,11 @@ def _evaluate_analytic_batched(
         fabric_jitter=jitter,
         power_cap_w=power_cap_w,
     )
-    return _aggregate_analytic(algorithm, n, ranks, shape, repetitions, runs)
+    result = _aggregate_analytic(algorithm, n, ranks, shape, repetitions,
+                                 runs)
+    if disk is not None:
+        disk.put(config, fingerprint, result)
+    return result
 
 
 #: sentinel: "use the environment-resolved disk cache"
@@ -188,10 +205,7 @@ def run_analytic_batch(
     ``run_analytic`` call describe the same cache address and produce
     the same bytes.  Misses are evaluated by the batched engine — base
     times shared across a configuration's repetitions, energy priced per
-    occupancy class — which is what makes a ``/batch`` round trip ~an
-    order of magnitude cheaper per configuration than a loop of cold
-    per-request evaluations.  The figure builders and any future
-    predictor can feed their whole grid through this one entry point.
+    occupancy class — the same engine :func:`run_analytic` uses.
 
     ``cache`` overrides the environment-resolved disk cache: any object
     with the same ``get(config, fingerprint)``/``put(config,
@@ -203,30 +217,17 @@ def run_analytic_batch(
     disk = default_result_cache() if cache is _DEFAULT_CACHE else cache
     results: list[ConfigResult] = []
     for request in requests:
-        algorithm = request["algorithm"]
-        n = request["n"]
-        ranks = request["ranks"]
         shape = request.get("shape", LoadShape.FULL)
-        if not isinstance(shape, LoadShape):
-            shape = LoadShape(shape)
-        repetitions = request.get("repetitions", PAPER_REPETITIONS)
-        base_seed = request.get("base_seed", 0)
-        spread = request.get("node_efficiency_spread", 0.02)
-        jitter = request.get("fabric_jitter", 0.02)
-        power_cap_w = request.get("power_cap_w")
-        result = None
-        if disk is not None:
-            config = _config_key(algorithm, n, ranks, shape, repetitions,
-                                 base_seed, spread, jitter, power_cap_w)
-            result = disk.get(config, fingerprint)
-        if result is None:
-            result = _evaluate_analytic_batched(
-                algorithm, n, ranks, shape, repetitions, base_seed,
-                spread, jitter, power_cap_w, calib, machine,
-            )
-            if disk is not None:
-                disk.put(config, fingerprint, result)
-        results.append(result)
+        results.append(_evaluate_cached(
+            disk, fingerprint,
+            request["algorithm"], request["n"], request["ranks"],
+            shape if isinstance(shape, LoadShape) else LoadShape(shape),
+            request.get("repetitions", PAPER_REPETITIONS),
+            request.get("base_seed", 0),
+            request.get("node_efficiency_spread", 0.02),
+            request.get("fabric_jitter", 0.02),
+            request.get("power_cap_w"), calib, machine,
+        ))
     return results
 
 

@@ -40,7 +40,6 @@ from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perfmodel.timeline import (
     NodeTimeline,
     node_timeline,
-    socket_occupancies,
     uniform_run_timelines,
 )
 from repro.solvers.ime.costmodel import ImeCostModel
@@ -365,7 +364,9 @@ def analytic_repetitions(
     * within a repetition, every node with the same per-socket occupancy
       runs an identical timeline (uniform bulk-synchronous run), so the
       energy integral is evaluated once per occupancy class (one or two
-      classes per layout) and replicated across nodes.
+      classes per layout) and replicated across nodes.  The occupancies
+      come from :meth:`~repro.cluster.placement.Layout.socket_occupancies`,
+      so no ``Placement`` is built.
 
     The seeded draws themselves replay the reference order exactly:
     ``default_rng(base_seed + rep)``, node-efficiency vector first, then
@@ -378,7 +379,7 @@ def analytic_repetitions(
                    else ScalapackCostModel.flops(n))
     dram_bytes_per_node = \
         flops_total * profile.dram_bytes_per_flop / layout.nodes
-    occupancies = socket_occupancies(Placement(layout, machine))
+    occupancies = layout.socket_occupancies(machine.sockets_per_node)
 
     results = []
     for rep in range(repetitions):

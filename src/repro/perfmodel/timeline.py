@@ -141,21 +141,6 @@ def node_timeline(
     return tl
 
 
-def socket_occupancies(placement: Placement) -> list[tuple[int, ...]]:
-    """Per-node ``(ranks on socket 0, ranks on socket 1, ...)`` tuples.
-
-    Placement-derived and repetition-independent, so batched evaluation
-    computes this once per configuration rather than once per seed.
-    """
-    layout = placement.layout
-    n_sockets = placement.machine.sockets_per_node
-    return [
-        tuple(len(placement.ranks_on_socket(node_id, s))
-              for s in range(n_sockets))
-        for node_id in range(layout.nodes)
-    ]
-
-
 def uniform_run_timelines(
     placement: Placement,
     compute_seconds: float,
@@ -179,5 +164,5 @@ def uniform_run_timelines(
             dram_bytes_per_node=dram_bytes_per_node,
             freq_ratio=freq_ratio,
         )
-        for node_id, per_socket in enumerate(socket_occupancies(placement))
+        for node_id, per_socket in enumerate(placement.socket_occupancies())
     ]

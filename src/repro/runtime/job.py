@@ -104,9 +104,9 @@ class Job:
         ]
         # Socket occupancy under this placement drives the shared-uncore
         # power uplift (what separates the 24+0 and 12+12 half loads).
-        for node in self.rapl_nodes:
-            for socket_id, pkg in enumerate(node.packages):
-                placed = len(placement.ranks_on_socket(node.node_id, socket_id))
+        for node, per_socket in zip(self.rapl_nodes,
+                                    placement.socket_occupancies()):
+            for pkg, placed in zip(node.packages, per_socket):
                 if placed > 0 and pkg.n_cores > 1:
                     pkg.occupancy_frac = min(
                         1.0, (placed - 1) / (pkg.n_cores - 1)

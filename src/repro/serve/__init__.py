@@ -17,8 +17,8 @@ stack, each independently testable:
 * single-flight dedup (:mod:`repro.serve.scheduler`) — concurrent
   identical cold requests coalesce onto one fork-pool computation;
 * batched analytic evaluation (``POST /batch`` →
-  :func:`repro.experiments.runner.run_analytic_batch`) — one vectorized
-  pass over a whole config batch instead of a loop of per-request runs.
+  :func:`repro.experiments.runner.run_analytic_batch`) — one pass over a
+  whole config batch through the analytic engine ``/run`` misses use.
 
 The wire format is the repo's canonical one: ``/run`` bodies are the
 same YAML ``repro run`` takes, ``/batch`` configs are the canonical

@@ -215,7 +215,7 @@ class _Handler(BaseHTTPRequestHandler):
         for task, fingerprint in zip(tasks, fingerprints):
             config = _task_config(task)
             address = tiers.address(config, fingerprint)
-            row = tiers.get(config, fingerprint)
+            row = tiers.get(config, fingerprint, address)
             flight = None
             if row is None:
                 # Submit every miss before streaming: misses of one
@@ -312,18 +312,17 @@ class _Handler(BaseHTTPRequestHandler):
         misses: list[int] = []
         for index, task in enumerate(tasks):
             config = _task_config(task)
-            row = tiers.get(config, fingerprint)
-            rows.append((task, config, row))
+            address = tiers.address(config, fingerprint)
+            row = tiers.get(config, fingerprint, address)
+            rows.append((task, config, address, row))
             if row is None:
                 misses.append(index)
         if misses:
-            # One vectorized pass over all cold configs: base times are
-            # shared across each config's repetitions and energy priced
-            # per occupancy class — same bytes, far fewer flops than a
-            # loop of per-request evaluations.  The daemon stays the
-            # sole cache writer (cache=None inside the batch engine);
-            # keys are the sweep-level configs, so /batch results land
-            # at the exact addresses /run and ``repro sweep`` use.
+            # One pass over all cold configs through the batched engine.
+            # The daemon stays the sole cache writer (cache=None inside
+            # the batch engine); keys are the sweep-level configs, so
+            # /batch results land at the exact addresses /run and
+            # ``repro sweep`` use.
             requests = [
                 {
                     "algorithm": rows[i][0].algorithm,
@@ -338,18 +337,18 @@ class _Handler(BaseHTTPRequestHandler):
             ]
             results = run_analytic_batch(requests, cache=None)
             for index, result in zip(misses, results):
-                task, config, _ = rows[index]
+                task, config, address, _ = rows[index]
                 row = result_to_dict(result)
                 tiers.put(config, fingerprint, row)
-                rows[index] = (task, config, row)
+                rows[index] = (task, config, address, row)
         body = [
             {
                 "label": task.label,
                 "config": config,
-                "address": tiers.address(config, fingerprint),
+                "address": address,
                 "result": row,
             }
-            for task, config, row in rows
+            for task, config, address, row in rows
         ]
         self._send_json(200, {
             "schema": WIRE_SCHEMA,

@@ -118,6 +118,8 @@ def test_bench_json(monkeypatch, capsys):
 
 
 def test_bench_table_write_and_check(monkeypatch, tmp_path, capsys):
+    import json
+
     _tiny_bench_points(monkeypatch)
     baseline = tmp_path / "baseline.json"
     assert main(["bench", "--quick", "--modes", "fast", "--table",
@@ -129,3 +131,14 @@ def test_bench_table_write_and_check(monkeypatch, tmp_path, capsys):
     assert main(["bench", "--quick", "--modes", "fast", "--check",
                  "--baseline", str(baseline)]) == 0
     assert "within budget" in capsys.readouterr().out
+    # Each written point records its host; a tripped guard names it.
+    report = json.loads(baseline.read_text())
+    [point] = report["points"]
+    assert set(point["host"]) == {"cpu", "nproc", "python", "numpy"}
+    point["results"]["fast"]["wall_s"] = 1e-9
+    baseline.write_text(json.dumps(report))
+    assert main(["bench", "--quick", "--modes", "fast", "--check",
+                 "--baseline", str(baseline)]) == 1
+    out = capsys.readouterr().out
+    assert f"baseline host {point['host']['cpu']}" in out
+    assert "current host " in out

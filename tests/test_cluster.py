@@ -148,6 +148,26 @@ def test_placement_half_two_sockets():
     assert len(placement.ranks_on_socket(0, 1)) == 12
 
 
+def _scanned_occupancies(placement):
+    """Per-node socket counts by the per-(node, socket) rank scan."""
+    sockets = placement.machine.sockets_per_node
+    return [tuple(len(placement.ranks_on_socket(node, s))
+                  for s in range(sockets))
+            for node in range(placement.layout.nodes)]
+
+
+@pytest.mark.parametrize("layout", table1_layouts(marconi_a3()) + [
+    layout_for(3188, shape, marconi_a3(), allow_tail=True)
+    for shape in LoadShape
+], ids=lambda layout: f"{layout.ranks}-{layout.shape.value}")
+def test_socket_occupancies_match_the_rank_scan(layout):
+    machine = marconi_a3()
+    placement = Placement(layout, machine)
+    scanned = _scanned_occupancies(placement)
+    assert layout.socket_occupancies(machine.sockets_per_node) == scanned
+    assert placement.socket_occupancies() == scanned
+
+
 def test_placement_rejects_oversubscription():
     machine = small_test_machine(cores_per_socket=2)
     layout = Layout(ranks=8, nodes=1, ranks_per_node=8,

@@ -8,10 +8,12 @@ contract from both sides, plus the serving-layer behaviors (NDJSON
 streaming, single-flight dedup, model pinning, bounded eviction).
 """
 
+import copy
 import http.client
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.experiments.sweep import (
 )
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION
 from repro.serve.app import create_server
+from repro.serve.loadtest import check_regression, load_report
 
 SPEC = """\
 schema: 1
@@ -327,3 +330,38 @@ class TestBoundedDaemon:
         finally:
             srv.shutdown_all()
             thread.join(timeout=10)
+
+
+# ------------------------------------------------------ load-test guards
+class TestLoadtestGuards:
+    """``repro loadtest --check`` against the committed quick baseline."""
+
+    @staticmethod
+    def baseline():
+        path = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
+        return load_report(path)["modes"]["quick"]
+
+    def section(self, **phases):
+        section = copy.deepcopy(self.baseline())
+        for phase, fields in phases.items():
+            section[phase].update(fields)
+        return section
+
+    def test_batch_ratio_is_reported_not_guarded(self):
+        # One engine on both sides: the ratio can fall below 1.
+        section = self.section(batch={"per_config_speedup": 0.5})
+        assert check_regression(section, self.baseline()) == []
+
+    def test_cold_fill_guarded_at_twice_the_baseline(self):
+        baseline = self.baseline()
+        limit = 2.0 * baseline["cold"]["wall_s"]
+        within = self.section(cold={"wall_s": 0.99 * limit})
+        assert check_regression(within, baseline) == []
+        slow = self.section(cold={"wall_s": 1.01 * limit})
+        [failure] = check_regression(slow, baseline)
+        assert failure.startswith("cold wall_s:")
+        assert "baseline host unrecorded; current host " in failure
+        baseline["host"] = {"cpu": "Example CPU", "nproc": 64,
+                            "python": "3.11.7", "numpy": "2.0.0"}
+        [failure] = check_regression(slow, baseline)
+        assert "baseline host Example CPU, 64 cores" in failure

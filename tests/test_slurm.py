@@ -112,6 +112,8 @@ def test_leaky_binding_spreads_across_sockets():
     placement = submit(PAPER_SCRIPT, MACHINE, binding=SocketBinding.LEAKY)
     assert len(placement.ranks_on_socket(0, 0)) == 12
     assert len(placement.ranks_on_socket(0, 1)) == 12
+    # The occupancy count reads the rebound map, not the layout.
+    assert placement.socket_occupancies() == [(12, 12)] * placement.layout.nodes
     # Still a valid one-core-per-rank placement.
     keys = {placement.core_of(r).key for r in range(placement.n_ranks)}
     assert len(keys) == placement.n_ranks

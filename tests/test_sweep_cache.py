@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import statistics
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.experiments.sweep import (
     run_sweep,
     run_task,
 )
+from repro.perfmodel.analytic import analytic_run
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION
 
 
@@ -166,11 +168,52 @@ class TestRunnerDiskCache:
         assert r.mean_duration > 0
 
 
+# ------------------------------------------------ reference analytic loop
+def reference_analytic(algorithm, n, ranks, shape, repetitions, base_seed,
+                       power_cap_w, machine) -> ConfigResult:
+    """The oracle for every production analytic path: one
+    ``analytic_run`` per seed, folded by rescanning each run's
+    ``node_energy_j`` once per domain and once per sum (the
+    ``AnalyticResult`` properties)."""
+    runs = [
+        analytic_run(algorithm, n, ranks, shape, machine,
+                     seed=base_seed + rep, node_efficiency_spread=0.02,
+                     fabric_jitter=0.02, power_cap_w=power_cap_w)
+        for rep in range(repetitions)
+    ]
+    durations = [r.duration for r in runs]
+    domains = sorted({d for r in runs for (_n, d) in r.node_energy_j})
+    return ConfigResult(
+        algorithm=algorithm,
+        n=n,
+        ranks=ranks,
+        shape=shape,
+        repetitions=repetitions,
+        mean_duration=statistics.fmean(durations),
+        stdev_duration=statistics.stdev(durations) if len(runs) > 1 else 0.0,
+        mean_total_j=statistics.fmean(r.total_energy_j for r in runs),
+        mean_package_j=statistics.fmean(r.package_energy_j for r in runs),
+        mean_dram_j=statistics.fmean(r.dram_energy_j for r in runs),
+        domain_means_j={
+            d: statistics.fmean(r.domain_energy_j(d) for r in runs)
+            for d in domains
+        },
+    )
+
+
+def assert_bitwise_equal(got: ConfigResult, want: ConfigResult) -> None:
+    """Every field equal by ``repr`` (exact for floats, signed zeros
+    included; dicts in insertion order)."""
+    for field in dataclasses.fields(ConfigResult):
+        assert repr(getattr(got, field.name)) == \
+            repr(getattr(want, field.name)), (want, field.name)
+
+
 # ----------------------------------------------------- batched evaluation
 class TestBatchedAnalytic:
     """The batched engine's whole point is doing *less work for the same
-    floats*: these tests pin the bit-identity contract the /batch
-    endpoint and the load-test speedup claim both rest on."""
+    floats*: these tests pin it, bit for bit, to the per-repetition
+    reference loop it replaced on every analytic path."""
 
     GRID = [
         (alg, n, ranks, shape)
@@ -198,20 +241,35 @@ class TestBatchedAnalytic:
             assert batched == loop, (alg, n, ranks, shape)
 
     def test_run_analytic_batch_matches_per_request_runs(self, monkeypatch):
+        """The §5 grid at seed 0, plus its n=8640 slice under a 120 W cap,
+        through run_analytic_batch and run_analytic, against the
+        reference loop."""
         from repro.experiments.runner import run_analytic_batch
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")
         _run_analytic_cached.cache_clear()
+        machine = marconi_a3()
+        points = [(task, None) for task in paper_tasks()] + [
+            (task, 120.0) for task in paper_tasks() if task.n == 8640
+        ]
         requests = [
-            {"algorithm": alg, "n": n, "ranks": ranks,
-             "shape": shape.value, "repetitions": 2, "base_seed": 0}
-            for alg, n, ranks, shape in self.GRID
+            {"algorithm": task.algorithm, "n": task.n, "ranks": task.ranks,
+             "shape": task.shape_value, "repetitions": task.repetitions,
+             "base_seed": task.seed, "power_cap_w": cap}
+            for task, cap in points
         ]
         batched = run_analytic_batch(requests, cache=None)
-        reference = [
-            run_analytic(alg, n, ranks, shape, repetitions=2, base_seed=0)
-            for alg, n, ranks, shape in self.GRID
-        ]
-        assert batched == reference
+        assert len(batched) == len(points) == 90
+        for (task, cap), got in zip(points, batched):
+            shape = LoadShape(task.shape_value)
+            want = reference_analytic(task.algorithm, task.n, task.ranks,
+                                      shape, task.repetitions, task.seed,
+                                      cap, machine)
+            assert_bitwise_equal(got, want)
+            assert_bitwise_equal(
+                run_analytic(task.algorithm, task.n, task.ranks, shape,
+                             repetitions=task.repetitions,
+                             base_seed=task.seed, power_cap_w=cap),
+                want)
 
     def test_run_analytic_batch_shares_the_disk_cache(self):
         from repro.experiments.runner import run_analytic_batch

@@ -4,8 +4,8 @@
 Spawns `repro serve` on an ephemeral port with a fresh cache root and
 drives it with synthetic clients: cold §5-grid fill, warm hit-path
 latency percentiles, single-flight dedup under concurrent identical
-requests, and /batch vs per-request speedup.  Maintains BENCH_serve.json
-at the repo root:
+requests, and one /batch vs per-request /run round trips.  Maintains
+BENCH_serve.json at the repo root:
 
     PYTHONPATH=src python tools/loadtest.py --write           # full suite
     PYTHONPATH=src python tools/loadtest.py --quick --check   # CI guard
