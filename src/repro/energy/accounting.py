@@ -30,7 +30,6 @@ class ActivityAccountant:
         #: per compute segment, so the interval record stays allocation-light
         self._ongoing: dict[int, tuple[float, float]] = {}
         self._handles = itertools.count()
-        self._last_time = t_boot
 
     def begin(self, watts: float, t: float) -> int:
         """Start an activity interval drawing ``watts``; returns a handle."""
@@ -78,4 +77,3 @@ class ActivityAccountant:
     def _check_time(self, t: float) -> None:
         if t < self.t_boot:
             raise ValueError(f"time {t} precedes boot time {self.t_boot}")
-        self._last_time = max(self._last_time, t)

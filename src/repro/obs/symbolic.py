@@ -480,12 +480,7 @@ def run_skeleton_job(
     job = Job(machine, placement, profile=profile, seed=seed)
     job.sim.fast_collectives = fast
     job.sim.fast_p2p = fast
-    opts = SymbolicOptions(nb=nb)
-
-    def program(ctx, comm):
-        return (yield from program_fn(ctx, comm, n=n, options=opts))
-
-    return job.run(program)
+    return job.run(program_fn, n=n, options=SymbolicOptions(nb=nb))
 
 
 # ----------------------------------------------------------------- driver

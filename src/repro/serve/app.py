@@ -53,6 +53,12 @@ WIRE_SCHEMA = 1
 #: validation points are minutes; beyond this something is wedged
 COMPUTE_TIMEOUT_S = 900.0
 
+#: largest request body the daemon reads; the full §5 ``/batch`` (72
+#: canonical configs) is about 9 KB as compact JSON and 13 KB indented,
+#: so this leaves over 300x headroom while bounding what one request
+#: can make a handler thread buffer
+MAX_BODY_BYTES = 4 << 20
+
 _GRIDS = ("experiment", "quick", "skeleton")
 
 
@@ -130,16 +136,34 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # ------------------------------------------------------------- plumbing
-    def _send_json(self, code: int, payload: dict) -> None:
+    def _send_json(self, code: int, payload: dict,
+                   close: bool = False) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> bytes | None:
+        """The request body, or ``None`` once a 400 (``Content-Length``
+        not a non-negative integer) or 413 (over :data:`MAX_BODY_BYTES`)
+        has been sent.  Those answers close the connection: the unread
+        body cannot be skipped to find the next request."""
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._send_json(400, {"error": "bad-content-length",
+                                  "value": raw}, close=True)
+            return None
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, {"error": "body-too-large",
+                                  "limit": MAX_BODY_BYTES,
+                                  "length": length}, close=True)
+            return None
         return self.rfile.read(length) if length else b""
 
     # ------------------------------------------------------------------ GET
@@ -180,8 +204,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": "bad-grid", "grid": grid,
                                   "choices": list(_GRIDS)})
             return
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            text = self._read_body().decode("utf-8")
+            text = body.decode("utf-8")
         except UnicodeDecodeError:
             self._send_json(400, {"error": "body-not-utf8"})
             return
@@ -275,8 +302,11 @@ class _Handler(BaseHTTPRequestHandler):
         t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- serving latency reporting
         from repro.experiments.runner import run_analytic_batch
 
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            payload = json.loads(self._read_body().decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_json(400, {"error": "bad-json", "detail": str(exc)})
             return

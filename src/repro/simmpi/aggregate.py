@@ -30,6 +30,19 @@ there, and ``x * 1.0`` is bitwise ``x``) and ``None`` otherwise, in which
 case callers keep the scalar per-edge walk.  ``AGGREGATE_MIN_SIZE`` gates
 the numpy dispatch overhead away from small communicators; tests lower it
 to force the vector path at toy sizes.
+
+Two lanes share that gate.  Fused allreduce/allgather
+(:func:`repro.simmpi.fastcoll._fused_times_vec`) evaluates both of its
+phases with the wave forms below.  A fused pipeline — IMe's per-level
+gather→bcast→bcast — does not: its stages run as flat Python loops over
+the same :class:`VecEnv` constants
+(:func:`repro.simmpi.fastp2p._gather_stage_flat`,
+:func:`repro.simmpi.fastp2p._bcast_stage_flat`), which measured faster
+per stage at every Table 1 rank count except the 1296-rank gather
+(``docs/performance.md`` has the per-stage table).  :func:`gather_sizes`
+has no engine caller; it stays as the closed-form statement of a
+gather's wire sizes, which the stage tests check the loop's traffic
+against.
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ per-level exchange — as one fused rendezvous: every rank parks exactly
 once and the last entrant replays all stages with the exact
 :mod:`repro.simmpi.fastcoll` recurrences (same fold order, same float
 round trips), so virtual times, traffic counters, and solver values are
-bit-identical to driving the stages one collective at a time.
+bit-identical to driving the stages one collective at a time.  On a
+stateless fabric each stage is one flat loop over the fabric constants
+(:func:`_gather_stage_flat`, :func:`_bcast_stage_flat`); otherwise the
+stages call the fabric once per hop.
 
 Scope and degradation
 ---------------------
@@ -51,6 +54,8 @@ fault-tolerant IMe.
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
+from operator import itemgetter
 from typing import Any
 
 from repro.simmpi.datatypes import (
@@ -60,10 +65,6 @@ from repro.simmpi.datatypes import (
 )
 from repro.simmpi.engine import Park, SleepUntil
 from repro.simmpi.errors import CommMismatchError, SimMPIError
-from functools import lru_cache
-
-import numpy as np
-
 from repro.memo import register_cache
 from repro.simmpi import aggregate
 from repro.simmpi.fastcoll import (
@@ -409,58 +410,128 @@ def _bcast_stage(comm, env, entry: list, payload: Any, root: int,
     return compl, results
 
 
-def _vrank_view(comm, entry: list, root: int):
-    """Entry times and node ids reindexed by virtual rank (root = 0)."""
-    size = comm.size
-    ranks = (np.arange(size) + root) % size
-    entry_v = np.asarray(entry, dtype=float)[ranks]
-    nodes_v = np.asarray(comm._nodes, dtype=np.intp)[ranks]
-    return ranks, entry_v, nodes_v
+def _gather_stage_flat(comm, venv, entry: list, payloads: list, root: int):
+    """Stateless-fabric form of :func:`_gather_stage`: one flat loop.
 
-
-def _gather_stage_vec(comm, venv, entry: list, payloads: list, root: int):
-    """Aggregate form of :func:`_gather_stage`: whole-level completion
-    times in O(log^2 size) numpy calls (see :mod:`repro.simmpi.aggregate`).
-
-    Bit-identical to the scalar walk: same per-value float expressions
-    evaluated wave-by-wave, order-free integer traffic sums aggregated.
+    The fabric is a pure function of ``(nbytes, src_node, dst_node)``
+    (see :func:`repro.simmpi.aggregate.vector_env`), so its constants
+    are read once and every hop inlines ``cpu_overhead``/``transfer_time``
+    as the same float expressions the fabric evaluates — including the
+    ``t + ((t + dt) - t)`` round trips — over plain lists rotated to the
+    root (index = virtual rank).  ``if a > t: t = a`` is builtin
+    ``max(t, a)`` spelled without the call.  Wire sizes accumulate
+    inline and the traffic is recorded once per stage (order-free
+    integer sums), so times, results and counters are bit-identical to
+    the fabric-call walk.
     """
     size = comm.size
-    ranks, entry_v, nodes_v = _vrank_view(comm, entry, root)
-    pbytes = np.fromiter(
-        (payload_nbytes(payloads[r]) for r in ranks),
-        dtype=np.int64, count=size,
-    )
-    wire = aggregate.gather_sizes(size, pbytes, DEFAULT_OBJECT_BYTES)
-    compl_v, _arrival, inter_msgs, inter_bytes = aggregate.gather_times(
-        venv, size, entry_v, wire, nodes_v)
+    intra_lat = venv.intra_lat
+    intra_bw = venv.intra_bw
+    inter_lat = venv.inter_lat
+    inter_bw = venv.inter_bw
+    ovh = venv.ovh
+    ovh_pb = venv.ovh_pb
+    nodes = comm._nodes
+    nodes_v = nodes[root:] + nodes[:root]
+    entry_v = entry[root:] + entry[:root]
+    pbytes = list(map(payload_nbytes, payloads))
+    pbytes_v = pbytes[root:] + pbytes[:root]
+    children_desc = _children_desc_table(size)
+    parents = _parents_table(size)
+    arrival = [0.0] * size
+    wire = [0] * size
+    ovh_in = [0.0] * size
+    compl_v = [0.0] * size
+    inter_msgs = inter_bytes = 0
+    # Virtual ranks descending: every child (vrank > parent) folds first.
+    # repro: allow[PERF002] -- measured faster than the numpy waves up to 576 ranks (docs/performance.md, per-stage table)
+    for v in range(size - 1, 0, -1):
+        t = entry_v[v]
+        abytes = DEFAULT_OBJECT_BYTES + pbytes_v[v]
+        for c in children_desc[v]:
+            a = arrival[c]
+            if a > t:
+                t = a
+            t = t + ovh_in[c]
+            abytes += wire[c]
+        if nodes_v[v] == nodes_v[parents[v]]:
+            dt = intra_lat + abytes / intra_bw
+        else:
+            dt = inter_lat + abytes / inter_bw
+            inter_msgs += 1
+            inter_bytes += abytes
+        arrival[v] = t + ((t + dt) - t)
+        wire[v] = abytes
+        o = ovh + ovh_pb * abytes
+        ovh_in[v] = o
+        compl_v[v] = t + ((t + o) - t)
+    t = entry_v[0]
+    for c in children_desc[0]:
+        a = arrival[c]
+        if a > t:
+            t = a
+        t = t + ovh_in[c]
+    compl_v[0] = t
     world = comm.world
     if world.track_traffic:
-        world.stats.record_bulk(size - 1, int(wire[1:].sum()),
-                                inter_msgs, inter_bytes)
-    out = [copy_payload(p) for p in payloads]
+        world.stats.record_bulk(size - 1, sum(wire), inter_msgs, inter_bytes)
     results: list = [None] * size
-    results[root] = out
-    compl = np.empty(size)
-    compl[ranks] = compl_v
-    return compl.tolist(), results
+    results[root] = list(map(copy_payload, payloads))
+    cut = size - root
+    return compl_v[cut:] + compl_v[:cut], results
 
 
-def _bcast_stage_vec(comm, venv, entry: list, payload: Any, root: int,
-                     nb: int):
-    """Aggregate form of :func:`_bcast_stage` (same contract as
-    :func:`_gather_stage_vec`)."""
+def _bcast_stage_flat(comm, venv, entry: list, payload: Any, root: int,
+                      nb: int):
+    """Stateless-fabric form of :func:`_bcast_stage` (same contract as
+    :func:`_gather_stage_flat`)."""
     size = comm.size
-    ranks, entry_v, nodes_v = _vrank_view(comm, entry, root)
-    compl_v, inter = aggregate.bcast_times(venv, size, entry_v, nb, nodes_v)
+    overhead = venv.ovh + venv.ovh_pb * nb
+    dt_intra = venv.intra_lat + nb / venv.intra_bw
+    dt_inter = venv.inter_lat + nb / venv.inter_bw
+    nodes = comm._nodes
+    nodes_v = nodes[root:] + nodes[:root]
+    entry_v = entry[root:] + entry[:root]
+    children_tbl = _children_table(size)
+    barr = [0.0] * size
+    compl_v = [0.0] * size
+    inter = 0
+    # Virtual ranks ascending: every parent (vrank < child) sends first.
+    # repro: allow[PERF002] -- measured faster than the numpy waves at every size up to 1296 ranks (docs/performance.md, per-stage table)
+    for v in range(size):
+        t = entry_v[v]
+        if v:
+            b = barr[v]
+            if b > t:
+                t = b
+            t = t + overhead
+        children = children_tbl[v]
+        if children:
+            src_node = nodes_v[v]
+            for c in children:
+                if nodes_v[c] == src_node:
+                    dt = dt_intra
+                else:
+                    dt = dt_inter
+                    inter += 1
+                barr[c] = t + ((t + dt) - t)
+                t = t + ((t + overhead) - t)
+        compl_v[v] = t
     world = comm.world
     if world.track_traffic:
         world.stats.record_bulk(size - 1, nb * (size - 1), inter, nb * inter)
-    compl = np.empty(size)
-    compl[ranks] = compl_v
-    results = [payload if r == root else copy_payload(payload)
-               for r in range(size)]
-    return compl.tolist(), results
+    if copy_payload(payload) is payload:
+        # Immutable payloads pass through copy-on-send unchanged.
+        results = [payload] * size
+    else:
+        results = [payload if r == root else copy_payload(payload)
+                   for r in range(size)]
+    cut = size - root
+    return compl_v[cut:] + compl_v[:cut], results
+
+
+#: a pipeline stage's ``(kind, root)``, which every rank must agree on
+_stage_shape = itemgetter(0, 1)
 
 
 def _pipe_times(comm, rec: _PipeRec, size: int):
@@ -468,55 +539,51 @@ def _pipe_times(comm, rec: _PipeRec, size: int):
     completion times and per-rank stage-result lists.
 
     With a stateless fabric and ``size >= aggregate.AGGREGATE_MIN_SIZE``
-    each stage is one vectorized per-level evaluation; otherwise the
-    scalar per-edge replay runs (bit-identical either way).
+    each stage is one flat loop over the fabric constants
+    (:func:`_gather_stage_flat`, :func:`_bcast_stage_flat`); otherwise
+    the fabric-call walk runs (bit-identical either way).
     """
     steps0 = rec.steps[0]
-    nsteps = len(steps0)
+    shape0 = list(map(_stage_shape, steps0))
     # repro: allow[PERF002] -- O(ranks) shape validation, no numeric work
     for r in range(1, size):
-        stepsr = rec.steps[r]
-        if len(stepsr) != nsteps or any(
-            stepsr[i][0] != steps0[i][0] or stepsr[i][1] != steps0[i][1]
-            for i in range(nsteps)
-        ):
+        shape = list(map(_stage_shape, rec.steps[r]))
+        if shape != shape0:
             raise CommMismatchError(
                 f"pipeline stage shapes differ between ranks 0 and {r}: "
-                f"{[(st[0], st[1]) for st in steps0]} vs "
-                f"{[(st[0], st[1]) for st in stepsr]}"
+                f"{shape0} vs {shape}"
             )
     env = _stage_env(comm)
     venv = (aggregate.vector_env(comm.world)
             if size >= aggregate.AGGREGATE_MIN_SIZE else None)
     t = list(rec.entry)
-    results: list[list] = [[] for _ in range(size)]
-    for si in range(nsteps):
-        step0 = steps0[si]
+    stage_results: list[list] = []
+    for si, step0 in enumerate(steps0):
         kind = step0[0]
         root = step0[1]
         if kind == "gather":
-            payloads = [rec.steps[r][si][2] for r in range(size)]
+            payloads = [steps[si][2] for steps in rec.steps]
             if venv is not None:
-                t, res = _gather_stage_vec(comm, venv, t, payloads, root)
+                t, res = _gather_stage_flat(comm, venv, t, payloads, root)
             else:
                 t, res = _gather_stage(comm, env, t, payloads, root)
         elif kind == "bcast":
             producer = rec.steps[root][si][2]
-            prev = results[root][si - 1] if si else None
+            prev = stage_results[si - 1][root] if si else None
             payload = producer(prev) if producer is not None else None
             nbytes = step0[3] if len(step0) > 3 else None
             if venv is not None:
                 nb = payload_nbytes(payload) if nbytes is None else nbytes
-                t, res = _bcast_stage_vec(comm, venv, t, payload, root, nb)
+                t, res = _bcast_stage_flat(comm, venv, t, payload, root, nb)
             else:
                 t, res = _bcast_stage(comm, env, t, payload, root,
                                       nbytes=nbytes)
         else:
             raise SimMPIError(f"unknown pipeline stage kind {kind!r}")
-        # repro: allow[PERF002] -- O(ranks) result fan-out, no numeric work
-        for r in range(size):
-            results[r].append(res[r])
-    return t, results
+        stage_results.append(res)
+    if not stage_results:
+        return t, [[] for _ in range(size)]
+    return t, [list(per_rank) for per_rank in zip(*stage_results)]
 
 
 def fast_pipeline(comm, steps):

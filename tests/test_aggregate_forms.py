@@ -1,18 +1,22 @@
-"""Three-way equivalence of the per-level aggregate closed forms.
+"""Three-way equivalence of the stateless-fabric lanes of the fast engines.
 
 The fast engines (``repro/simmpi/fastcoll.py``, ``fastp2p.py``) evaluate
 collective and pipeline timing in one of two ways: a scalar per-edge
-walk, or — when the fabric is uniform per rank pair and the world is
-large enough (``aggregate.AGGREGATE_MIN_SIZE``) — a vectorized per-level
-closed form that advances whole rank classes per numpy call.  Both must
-be bit-identical to each other and to the message-level reference:
-same results, same virtual times, same traffic, same energy.
+walk that calls the fabric per hop, or — when the fabric is uniform per
+rank pair and the world is large enough
+(``aggregate.AGGREGATE_MIN_SIZE``) — a stateless lane that reads the
+fabric constants once.  For fused allreduce/allgather that lane is the
+numpy wave forms of ``aggregate.py``; for a fused pipeline (IMe's
+per-level gather→bcast→bcast) it is a flat Python loop per stage.
+Every lane must be bit-identical to the others and to the message-level
+reference: same results, same virtual times, same traffic, same energy.
 
 These tests force each path explicitly by pinning
-``AGGREGATE_MIN_SIZE`` (2 → vectorized even for tiny worlds; a huge
-value → scalar even for big ones) and compare all three legs across
-the solver grid, including ft-IMe mid-solve recovery and
-wildcard/probe degradation.
+``AGGREGATE_MIN_SIZE`` (2 → stateless lane even for tiny worlds; a huge
+value → scalar walk even for big ones) and compare all three legs
+across the solver grid, including ft-IMe mid-solve recovery and
+wildcard/probe degradation.  The pipeline stage loops are also checked
+one stage at a time against the fabric-call walk.
 """
 
 import contextlib
@@ -20,11 +24,13 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.cluster.machine import small_test_machine
+from repro.cluster.machine import NetworkParams, small_test_machine
+from repro.cluster.network import ClusterFabric
 from repro.cluster.placement import LoadShape, place_ranks
 from repro.runtime.job import Job
 from repro.simmpi import aggregate
 from repro.simmpi.comm import ANY_SOURCE, World
+from repro.simmpi.datatypes import DEFAULT_OBJECT_BYTES, payload_nbytes
 from repro.simmpi.engine import Simulator
 from repro.simmpi.fabric import UniformFabric
 from repro.solvers.ime.ft_parallel import FtOptions, ime_ft_parallel_program
@@ -304,3 +310,126 @@ def test_scalar_gate_respected(monkeypatch):
     with aggregate_min_size(FORCE_SCALAR):
         run_job(program, 4, True)
     assert not calls
+
+
+# ------------------------------------- pipeline stage loops, stage by stage
+def _stage_comm(size, node_of):
+    """Rank 0's COMM_WORLD handle on a fresh jitter-free cluster fabric."""
+    world = World(Simulator(), size,
+                  fabric=ClusterFabric(NetworkParams(), jitter_frac=0.0),
+                  node_of=node_of)
+    return world.comm_world()[0]
+
+
+def _ragged_payload(rng, r):
+    kind = r % 4
+    if kind == 0:
+        return np.arange(int(rng.integers(0, 40)), dtype=float) + r
+    if kind == 1:
+        return float(r)
+    if kind == 2:
+        return None
+    return (r, np.ones(int(rng.integers(1, 9))))
+
+
+def _stage_roots(size):
+    return sorted({0, 1 % size, size // 2, size - 1})
+
+
+STAGE_SIZES = [2, 3, 12, 33, 144, 145, 1296]
+# Blocks of 7 leave a partial tail node at every size above; the
+# round-robin map makes most hops inter-node.
+STAGE_NODE_MAPS = {
+    "block7": lambda r: r // 7,
+    "roundrobin3": lambda r: r % 3,
+}
+
+
+@pytest.mark.parametrize("node_map", sorted(STAGE_NODE_MAPS))
+@pytest.mark.parametrize("size", STAGE_SIZES)
+def test_gather_stage_flat_matches_fabric_walk(size, node_map):
+    """The stateless-fabric gather loop equals the fabric-call walk
+    bit for bit: completion times, the root's rank-ordered result, and
+    the traffic counters — also against the aggregate wire sizes."""
+    from repro.simmpi.fastp2p import (
+        _gather_stage, _gather_stage_flat, _stage_env)
+
+    rng = np.random.default_rng(size)
+    node_of = STAGE_NODE_MAPS[node_map]
+    ref = _stage_comm(size, node_of)
+    flat = _stage_comm(size, node_of)
+    for root in _stage_roots(size):
+        entry = (rng.random(size) * 1e-5).tolist()
+        payloads = [_ragged_payload(rng, r) for r in range(size)]
+        before = flat.world.stats.bytes
+        t_ref, res_ref = _gather_stage(ref, _stage_env(ref), entry,
+                                       payloads, root)
+        t_flat, res_flat = _gather_stage_flat(
+            flat, aggregate.vector_env(flat.world), entry, payloads, root)
+        assert t_flat == t_ref
+        assert all(res is None for r, res in enumerate(res_flat)
+                   if r != root)
+        _assert_same(res_flat[root], res_ref[root])
+        # Copy-on-send: no array in the root's list is a sender's buffer.
+        assert not any(got is sent for got, sent
+                       in zip(res_flat[root], payloads)
+                       if isinstance(sent, np.ndarray))
+        snap = flat.world.stats.snapshot()
+        assert snap == ref.world.stats.snapshot()
+        vr = [(v + root) % size for v in range(size)]
+        wire = aggregate.gather_sizes(
+            size, [payload_nbytes(payloads[r]) for r in vr],
+            DEFAULT_OBJECT_BYTES)
+        assert snap["bytes"] - before == int(wire[1:].sum())
+
+
+@pytest.mark.parametrize("node_map", sorted(STAGE_NODE_MAPS))
+@pytest.mark.parametrize("size", STAGE_SIZES)
+def test_bcast_stage_flat_matches_fabric_walk(size, node_map):
+    """The stateless-fabric bcast loop equals the fabric-call walk bit
+    for bit, with the payload's own size and with a wire-size override."""
+    from repro.simmpi.fastp2p import (
+        _bcast_stage, _bcast_stage_flat, _stage_env)
+
+    rng = np.random.default_rng(size + 1)
+    node_of = STAGE_NODE_MAPS[node_map]
+    ref = _stage_comm(size, node_of)
+    flat = _stage_comm(size, node_of)
+    for root in _stage_roots(size):
+        for nbytes in (None, 8 * int(rng.integers(1, 5000))):
+            entry = (rng.random(size) * 1e-5).tolist()
+            payload = np.arange(int(rng.integers(1, 64)), dtype=float)
+            t_ref, res_ref = _bcast_stage(ref, _stage_env(ref), entry,
+                                          payload, root, nbytes=nbytes)
+            nb = payload_nbytes(payload) if nbytes is None else nbytes
+            t_flat, res_flat = _bcast_stage_flat(
+                flat, aggregate.vector_env(flat.world), entry, payload,
+                root, nb)
+            assert t_flat == t_ref
+            assert res_flat[root] is payload and res_ref[root] is payload
+            assert all(res is not payload for r, res in enumerate(res_flat)
+                       if r != root)
+            _assert_same(res_flat, res_ref)
+            assert flat.world.stats.snapshot() == ref.world.stats.snapshot()
+
+
+def test_pipeline_shape_mismatch_names_both_ranks():
+    """A rank whose stage roots differ from rank 0's fails the fused
+    rendezvous with both shapes in the message."""
+    from repro.simmpi.errors import CommMismatchError
+
+    def program(comm):
+        root = 1 if comm.rank == 2 else 0
+        yield from comm.pipeline((("gather", root, float(comm.rank)),
+                                  ("bcast", 0, None, 8)))
+
+    sim = Simulator()
+    sim.fast_collectives = True
+    sim.fast_p2p = True
+    world = World(sim, 4, fabric=UniformFabric())
+    for comm in world.comm_world():
+        sim.spawn(program(comm), name=f"rank{comm.rank}")
+    with pytest.raises(CommMismatchError, match=(
+            r"differ between ranks 0 and 2: \[\('gather', 0\), "
+            r"\('bcast', 0\)\] vs \[\('gather', 1\), \('bcast', 0\)\]")):
+        sim.run()

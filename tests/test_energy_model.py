@@ -156,6 +156,17 @@ def test_accountant_boot_time_offset():
         acct.energy_at(99.0)
 
 
+def test_accountant_rejects_times_before_boot_everywhere():
+    acct = ActivityAccountant(idle_power_w=1.0, t_boot=5.0)
+    with pytest.raises(ValueError, match="precedes boot time 5.0"):
+        acct.begin(watts=1.0, t=4.0)
+    h = acct.begin(watts=1.0, t=6.0)
+    with pytest.raises(ValueError, match="precedes boot time 5.0"):
+        acct.end(h, t=4.5)
+    with pytest.raises(ValueError, match="precedes boot time 5.0"):
+        acct.energy_at(0.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     intervals=st.lists(

@@ -27,7 +27,7 @@ from repro.experiments.sweep import (
     task_from_config,
 )
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION
-from repro.serve.app import create_server
+from repro.serve.app import MAX_BODY_BYTES, create_server
 from repro.serve.loadtest import check_regression, load_report
 
 SPEC = """\
@@ -149,6 +149,60 @@ class TestEndpoints:
                                 f"/run?model={server.model}", SPEC)
         assert status == 200
         assert lines[-1]["type"] == "done"
+
+
+# ------------------------------------------------------ request framing
+def request_with_length(port, path, content_length):
+    """POST with a hand-set ``Content-Length`` and no body bytes; the
+    short timeout turns a server that waits for the body into a failure
+    instead of a hang."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        response = conn.getresponse()
+        body = json.loads(response.read().decode())
+        closing = response.headers.get("Connection")
+    finally:
+        conn.close()
+    return response.status, body, closing
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("path", ["/run", "/batch"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "0x10"])
+    def test_malformed_length_is_400(self, server, path, value):
+        status, body, closing = request_with_length(port_of(server), path,
+                                                    value)
+        assert status == 400
+        assert body["error"] == "bad-content-length"
+        assert closing == "close"
+
+    @pytest.mark.parametrize("path", ["/run", "/batch"])
+    def test_oversized_body_is_413(self, server, path):
+        status, body, closing = request_with_length(
+            port_of(server), path, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert body["error"] == "body-too-large"
+        assert body["limit"] == MAX_BODY_BYTES
+        assert closing == "close"
+
+    def test_limit_admits_the_full_section5_batch(self, server):
+        from repro.experiments.sweep import paper_tasks
+
+        configs = [_task_config(task) for task in paper_tasks()]
+        text = json.dumps({"configs": configs}, indent=2)
+        assert 100 * len(text) < MAX_BODY_BYTES
+        status, body = request(port_of(server), "POST", "/batch", text)
+        assert status == 200
+
+    def test_daemon_keeps_serving_after_rejects(self, server):
+        port = port_of(server)
+        request_with_length(port, "/batch", "abc")
+        request_with_length(port, "/batch", str(MAX_BODY_BYTES + 1))
+        status, body = request(port, "GET", "/health")
+        assert status == 200 and body["ok"] is True
 
 
 # ------------------------------------------------------------ bit-identity
