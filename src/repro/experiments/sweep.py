@@ -238,7 +238,7 @@ def run_task(task: SweepTask) -> dict:
 
     Module-level so the multiprocessing pool can pickle it by reference.
     """
-    t0 = time.perf_counter()  # repro: allow[DET001] -- sweep throughput reporting
+    t0 = time.perf_counter()
     cache = default_result_cache()
     cached = False
     result = None
@@ -261,7 +261,7 @@ def run_task(task: SweepTask) -> dict:
     from repro.memo import reset_hot_caches
 
     reset_hot_caches()
-    wall = time.perf_counter() - t0  # repro: allow[DET001] -- sweep throughput reporting
+    wall = time.perf_counter() - t0
     row = {"label": task.label, "cached": cached, "wall_s": wall}
     row.update(result_to_dict(result))
     return row
@@ -277,7 +277,7 @@ def run_sweep(jobs: int = 1, quick: bool = False,
     """
     if tasks is None:
         tasks = quick_tasks() if quick else paper_tasks()
-    t0 = time.perf_counter()  # repro: allow[DET001] -- sweep throughput reporting
+    t0 = time.perf_counter()
     if jobs <= 1 or len(tasks) <= 1:
         rows = []
         for task in tasks:
@@ -295,7 +295,7 @@ def run_sweep(jobs: int = 1, quick: bool = False,
                 rows[i] = row
                 if progress is not None:
                     progress(row)
-    wall = time.perf_counter() - t0  # repro: allow[DET001] -- sweep throughput reporting
+    wall = time.perf_counter() - t0
     return {
         "grid": "quick" if quick else "paper",
         "jobs": jobs,
@@ -324,15 +324,14 @@ def make_progress(total: int, quiet: bool = False):
 
     if quiet or not sys.stdout.isatty():
         return None
-    state = {"done": 0, "hits": 0,
-             "t0": time.perf_counter()}  # repro: allow[DET001] -- ETA reporting
+    state = {"done": 0, "hits": 0, "t0": time.perf_counter()}
 
     def progress(row: dict) -> None:
         state["done"] += 1
         if row["cached"]:
             state["hits"] += 1
         done = state["done"]
-        elapsed = time.perf_counter() - state["t0"]  # repro: allow[DET] -- ETA reporting, never modeled
+        elapsed = time.perf_counter() - state["t0"]  # repro: allow[DET101] -- ETA reporting, never modeled
         eta = elapsed / done * (total - done)
         print(f"  {done}/{total} "
               f"({state['hits']} cache hits, ETA {eta:.0f}s)  "

@@ -35,7 +35,7 @@ KNOWN_SIMCALL_METHODS = frozenset({
 #: engine-level helper coroutines (`yield from sleep(dt)` etc.)
 ENGINE_HELPERS = frozenset({"sleep", "now", "wait", "wake_at"})
 
-#: collective subset of the simcall methods (MPI002 symmetry vocabulary)
+#: collective subset of the simcall methods (MPIS002 schedule vocabulary)
 COLLECTIVE_METHODS = frozenset({
     "bcast", "reduce", "allreduce", "allgather", "gather", "scatter",
     "gatherv", "scatterv", "reduce_scatter", "scan", "alltoall", "barrier",

@@ -42,17 +42,6 @@ RULES: tuple[RuleSpec, ...] = (
         good="def program(comm):\n    yield from comm.barrier()\n    yield from comm.bcast(0, root=0)\n",
     ),
     RuleSpec(
-        id="DET001", family="DET",
-        summary="wall-clock read in the deterministic core",
-        rationale=(
-            "Simulated time is the only clock the model may observe; "
-            "host wall-clock reads make runs irreproducible across "
-            "machines and loads."
-        ),
-        bad="import time\n\ndef span():\n    return time.perf_counter()\n",
-        good="def span(sim):\n    return sim.now\n",
-    ),
-    RuleSpec(
         id="DET002", family="DET",
         summary="unseeded or ambient entropy source",
         rationale=(
@@ -77,8 +66,7 @@ RULES: tuple[RuleSpec, ...] = (
         id="DET101", family="DET",
         summary="wall-clock/entropy taint reaches a modeled quantity",
         rationale=(
-            "Dataflow form of DET001/DET002: the *value* of a clock or "
-            "entropy read — not just the call site — must never reach "
+            "The *value* of a wall-clock or entropy read must never reach "
             "an energy/time/traffic quantity or an engine time/work "
             "primitive, even through helper functions.  Logging a "
             "timestamp is fine; modeling with one is not."
@@ -137,51 +125,6 @@ RULES: tuple[RuleSpec, ...] = (
         ),
     ),
     RuleSpec(
-        id="MPI001", family="MPI",
-        summary="disjoint literal send/recv tags in one function",
-        rationale=(
-            "In the SPMD idiom both halves of an exchange live in one "
-            "function; literal tags that can never be equal mean the "
-            "message is never consumed."
-        ),
-        bad=(
-            "def exchange(comm, rank):\n"
-            "    if rank == 0:\n"
-            "        yield from comm.send(1, dest=1, tag=10)\n"
-            "    else:\n"
-            "        x = yield from comm.recv(source=0, tag=20)\n"
-        ),
-        good=(
-            "def exchange(comm, rank):\n"
-            "    if rank == 0:\n"
-            "        yield from comm.send(1, dest=1, tag=10)\n"
-            "    else:\n"
-            "        x = yield from comm.recv(source=0, tag=10)\n"
-        ),
-    ),
-    RuleSpec(
-        id="MPI002", family="MPI",
-        summary="asymmetric collectives across rank branches",
-        rationale=(
-            "A collective inside only one arm of a rank test deadlocks "
-            "the ranks that never post it."
-        ),
-        bad=(
-            "def program(comm):\n"
-            "    if comm.rank == 0:\n"
-            "        data = yield from comm.bcast('x', root=0)\n"
-            "    else:\n"
-            "        data = yield from comm.recv(source=0, tag=1)\n"
-        ),
-        good=(
-            "def program(comm, rows):\n"
-            "    if comm.rank == 0:\n"
-            "        data = yield from comm.bcast(rows, root=0)\n"
-            "    else:\n"
-            "        data = yield from comm.bcast(None, root=0)\n"
-        ),
-    ),
-    RuleSpec(
         id="MPI003", family="MPI",
         summary="PAPI start/stop not barrier-fenced in a rank program",
         rationale=(
@@ -230,8 +173,7 @@ RULES: tuple[RuleSpec, ...] = (
             "collective sequence.  Enumerating rank classes and "
             "comparing their whole-function schedules (loops compared "
             "structurally, early returns honoured) catches asymmetries "
-            "the one-branch syntactic MPI002 check cannot, without its "
-            "early-return false positives."
+            "that no single if/else comparison sees."
         ),
         bad=(
             "def program(comm, rank):\n"

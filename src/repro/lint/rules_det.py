@@ -2,11 +2,8 @@
 
 A run of the simulator must be a pure function of its seeds: the
 fast-path equivalence contract, the byte-identical trace exports, and
-every committed baseline depend on it.  Three rule ids:
+every committed baseline depend on it.  Two rule ids:
 
-* **DET001** — wall-clock reads (``time.time``, ``time.perf_counter``,
-  ``datetime.now`` …).  Virtual time comes from the engine; wall time
-  belongs only in the self-benchmark, which carries inline allows.
 * **DET002** — unseeded / ambient entropy: the ``random`` module's
   global RNG, legacy ``numpy.random.*`` global functions,
   ``numpy.random.default_rng()`` *without* a seed, ``os.urandom``,
@@ -18,8 +15,11 @@ every committed baseline depend on it.  Three rule ids:
   insertion history; feeding it into anything ordering-sensitive
   (scheduling, reduction order, output) breaks determinism.  Sort it.
 
-These rules apply to ``src/repro`` (the deterministic core); tools and
-examples may legitimately read clocks.
+These rules apply to ``src/repro`` (the deterministic core).  Wall-clock
+reads are not flagged here: reading the host clock is legitimate in
+benchmarks and reporting, and :mod:`repro.lint.rules_det_flow` (DET101)
+flags the read's *value* reaching a modeled quantity.  ``WALL_CLOCK``
+is that rule's source vocabulary.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ def _check_call(module: ModuleInfo, call: ast.Call) -> Finding | None:
     canonical = module.canonical(call.func)
     if canonical is None:
         return None
-    if canonical in WALL_CLOCK:
-        return _finding(
-            module, call, "DET001",
-            f"wall-clock read '{canonical}()' in the deterministic core; "
-            "use the engine's virtual clock (sim.now / yield NOW)",
-        )
     if canonical in ENTROPY or canonical.startswith("secrets."):
         return _finding(
             module, call, "DET002",

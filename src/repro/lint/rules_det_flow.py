@@ -1,12 +1,11 @@
 """DET1xx — interprocedural nondeterminism-taint tracking.
 
-The syntactic DET00x rules flag every wall-clock read, every ambient
-RNG, every set iteration inside the deterministic core — a blunt
-instrument that needs path scoping (``tools/`` may read clocks) and
-inline allows on legitimate uses (throughput reporting).  The DET1xx
-family is the flow-sensitive refinement: it only fires when a
-nondeterministic value provably *flows into a modeled quantity* — the
-numbers the equivalence suites and committed baselines depend on.
+The syntactic DET00x rules flag every ambient RNG and every set
+iteration inside the deterministic core; no rule flags a wall-clock
+read as such.  The DET1xx family is the flow-sensitive check: it only
+fires when a nondeterministic value provably *flows into a modeled
+quantity* — the numbers the equivalence suites and committed baselines
+depend on.
 
 Sources (taint kinds):
 
@@ -36,8 +35,7 @@ Sinks (what makes it a finding):
 
 Rule ids: **DET101** for clock/entropy taint, **DET102** for set-order
 taint.  A wall-clock read whose value only feeds a log line or a
-throughput report is *not* flagged — that is exactly the false-positive
-class the syntactic rules needed inline allows for.
+throughput report is *not* flagged.
 """
 
 from __future__ import annotations

@@ -1,24 +1,15 @@
-"""MPI00x — simulated-MPI protocol lints.
+"""MPI003 — unfenced monitor bracket in a rank program.
 
-* **MPI001 — tag mismatch.**  Within one function, the literal tags
-  used by sends and the literal tags used by receives must overlap.  In
-  SPMD rank programs both halves of an exchange live in the same
-  function (``if rank == 0: send(tag=A) else: recv(tag=B)``); disjoint
-  literal tag sets mean the message can never match and the receiver
-  parks forever.
-* **MPI002 — asymmetric collectives.**  Collectives must be called by
-  *every* rank of the communicator.  An ``if``/``else`` on the rank
-  (``comm.rank == 0``, ``rank == master``) whose branches contain
-  different collective call sequences is the canonical deadlock: the
-  master enters a ``bcast`` the workers never join.
-* **MPI003 — unfenced monitor bracket.**  Per
-  ``docs/monitoring-protocol.md`` (the paper's Figure 2), PAPI
-  ``start``/``stop`` reads in a rank program must be barrier-fenced: a
-  barrier before aligns the node so the counters bracket exactly the
-  monitored region, a barrier after keeps other ranks from racing into
-  the next phase.  Checked only inside generator functions — external
-  (black-box) observers are not rank programs and deliberately never
-  synchronize.
+Per ``docs/monitoring-protocol.md`` (the paper's Figure 2), PAPI
+``start``/``stop`` reads in a rank program must be barrier-fenced: a
+barrier before aligns the node so the counters bracket exactly the
+monitored region, a barrier after keeps other ranks from racing into
+the next phase.  Checked only inside generator functions — external
+(black-box) observers are not rank programs and deliberately never
+synchronize.
+
+Message matching and collective symmetry are the MPIS rules'
+(:mod:`repro.lint.rules_mpis`).
 """
 
 from __future__ import annotations
@@ -27,20 +18,11 @@ import ast
 
 from repro.lint.findings import Finding
 from repro.lint.model import (
-    COLLECTIVE_METHODS,
-    ModuleInfo,
     FunctionInfo,
-    has_mpi_keywords,
-    is_comm_receiver,
+    ModuleInfo,
     iter_own_nodes,
     receiver_name,
 )
-
-_SEND_OPS = {"send": 2, "isend": 2}
-_RECV_OPS = {"recv": 1, "irecv": 1, "probe": 1, "iprobe": 1}
-
-#: names conventionally holding this rank's index in a rank program
-_RANK_NAMES = frozenset({"rank", "myrank", "my_rank", "wrank", "world_rank"})
 
 
 def _finding(module: ModuleInfo, node: ast.AST, rule: str,
@@ -53,111 +35,6 @@ def _finding(module: ModuleInfo, node: ast.AST, rule: str,
         message=message,
         text=module.line_text(node.lineno),
     )
-
-
-def _literal_tag(call: ast.Call, kwarg: str, pos: int) -> int | None:
-    for kw in call.keywords:
-        if kw.arg == kwarg and isinstance(kw.value, ast.Constant) \
-                and isinstance(kw.value.value, int):
-            return kw.value.value
-    if len(call.args) > pos:
-        arg = call.args[pos]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, int):
-            return arg.value
-    return None
-
-
-def _comm_method(node: ast.AST) -> tuple[ast.Call, str] | None:
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-        return None
-    recv = receiver_name(node.func.value)
-    if is_comm_receiver(recv) or has_mpi_keywords(node):
-        return node, node.func.attr
-    return None
-
-
-def _check_tags(module: ModuleInfo, fn: FunctionInfo) -> list[Finding]:
-    send_tags: dict[int, int] = {}  # tag -> first lineno
-    recv_tags: dict[int, int] = {}
-    for node in iter_own_nodes(fn.node):
-        hit = _comm_method(node)
-        if hit is None:
-            continue
-        call, op = hit
-        if op in _SEND_OPS:
-            tag = _literal_tag(call, "tag", _SEND_OPS[op])
-        elif op in _RECV_OPS:
-            tag = _literal_tag(call, "tag", _RECV_OPS[op])
-        elif op == "sendrecv":
-            stag = _literal_tag(call, "sendtag", -1)
-            if stag is not None:
-                send_tags.setdefault(stag, call.lineno)
-            tag = _literal_tag(call, "recvtag", -1)
-            op = "recv"
-        else:
-            continue
-        if tag is None:
-            continue
-        side = send_tags if op in _SEND_OPS else recv_tags
-        side.setdefault(tag, call.lineno)
-    if send_tags and recv_tags and not set(send_tags) & set(recv_tags):
-        line = min(recv_tags.values())
-        return [Finding(
-            path=module.path,
-            line=line,
-            col=1,
-            rule="MPI001",
-            message=(
-                f"in {fn.qualname!r} literal send tags "
-                f"{sorted(send_tags)} and receive tags {sorted(recv_tags)} "
-                "are disjoint; the exchange can never match"
-            ),
-            text=module.line_text(line),
-        )]
-    return []
-
-
-def _is_rank_test(test: ast.expr) -> bool:
-    for node in ast.walk(test):
-        if isinstance(node, ast.Attribute) and node.attr == "rank":
-            return True
-        if isinstance(node, ast.Name) and node.id in _RANK_NAMES:
-            return True
-    return False
-
-
-def _collective_sequence(stmts: list[ast.stmt]) -> list[tuple[str, int]]:
-    calls: list[tuple[str, int, int]] = []
-    for stmt in stmts:
-        fake = ast.Module(body=[stmt], type_ignores=[])
-        for node in iter_own_nodes(fake):
-            hit = _comm_method(node)
-            if hit is None:
-                continue
-            call, op = hit
-            if op in COLLECTIVE_METHODS:
-                calls.append((op, call.lineno, call.col_offset))
-    calls.sort(key=lambda c: (c[1], c[2]))
-    return [(op, line) for op, line, _col in calls]
-
-
-def _check_symmetry(module: ModuleInfo, fn: FunctionInfo) -> list[Finding]:
-    findings = []
-    for node in iter_own_nodes(fn.node):
-        if not isinstance(node, ast.If) or not _is_rank_test(node.test):
-            continue
-        body = _collective_sequence(node.body)
-        orelse = _collective_sequence(node.orelse)
-        if [op for op, _ in body] != [op for op, _ in orelse]:
-            findings.append(_finding(
-                module, node, "MPI002",
-                f"collective sequence differs between the rank branches of "
-                f"{fn.qualname!r}: "
-                f"{[op for op, _ in body] or 'none'} vs "
-                f"{[op for op, _ in orelse] or 'none'}; every rank of the "
-                "communicator must execute the same collectives in order",
-            ))
-    return findings
 
 
 def _check_monitor_bracket(module: ModuleInfo,
@@ -198,7 +75,5 @@ def _check_monitor_bracket(module: ModuleInfo,
 def check(module: ModuleInfo) -> list[Finding]:
     findings: list[Finding] = []
     for fn in module.functions:
-        findings.extend(_check_tags(module, fn))
-        findings.extend(_check_symmetry(module, fn))
         findings.extend(_check_monitor_bracket(module, fn))
     return findings

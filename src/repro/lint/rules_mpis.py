@@ -16,8 +16,9 @@ rank programs:
    communication schedule: sends/recvs with literal ``dest``/
    ``source``/``tag`` where present, collectives with literal roots,
    loops as structural sub-schedules.  Early ``return`` ends the
-   class's schedule — which is how the one-armed early-return pattern
-   that trips the syntactic MPI002 rule is handled precisely here.
+   class's schedule, so a one-armed early return (the master finishes
+   early, the workers run on) is compared on what each class really
+   executes.
    Data-dependent (non-rank) branches with differing schedules mark
    the class *approximate*: its ops still join the matching pool, but
    it is exempt from exact-sequence comparison (no false positives

@@ -1,12 +1,12 @@
 """Inline suppressions: ``# repro: allow[RULE]``.
 
 A finding is suppressed when an allow comment naming its rule (or the
-whole family, e.g. ``DET`` covers ``DET001``/``DET002``/``DET003``)
+whole family, e.g. ``DET`` covers ``DET002``/``DET003``/``DET101``)
 appears on the reported line itself, or on a comment-only line above
 it, or anywhere in the decorator/comment block directly above a
 flagged ``def``::
 
-    t0 = time.perf_counter()  # repro: allow[DET001] -- wall-clock bench
+    wall_s = time.perf_counter() - t0  # repro: allow[DET101] -- wall-clock bench
 
     # repro: allow[SIM001] -- driven indirectly by the harness
     comm.barrier()
@@ -15,7 +15,7 @@ flagged ``def``::
     def stamp():
         ...
 
-Several rules can share one comment: ``# repro: allow[DET001,DET002]``
+Several rules can share one comment: ``# repro: allow[DET002,DET003]``
 (spaces after the comma are fine).  Anything after ``--`` is a
 free-form reason (encouraged, never parsed).
 """
@@ -61,5 +61,5 @@ def is_suppressed(rule: str, line: int,
     rules = suppressions.get(line)
     if not rules:
         return False
-    # Exact id, or a family prefix ("DET" suppresses "DET001").
+    # Exact id, or a family prefix ("DET" suppresses "DET101").
     return any(rule == r or rule.startswith(r) for r in rules)

@@ -15,9 +15,14 @@ chosen to land the simulated Marconi A3 on the paper's reported ratios:
 * **pivot-chain factor** — the effective per-message cost of ScaLAPACK's
   per-column pivoting chain (max-loc reduction + row swap + pivot-row
   broadcast, across strided process columns that defeat SMP-aware
-  collectives).  Values ≈ 1.7 reproduce the paper's crossover: IMe wins on
-  *time* at {576, 1296} ranks for n ∈ {8640, 17280}, ScaLAPACK everywhere
-  else (§5.2).
+  collectives).  The default 2.1 reproduces three of the paper's four IMe
+  *time* wins at {576, 1296} ranks for n ∈ {8640, 17280} (§5.2);
+  ScaLAPACK stays ahead at (17280, 576), a known deviation.  The verdict
+  at (8640, 576) rests on this factor.  Analytic T there (FULL shape,
+  one unjittered repetition): IMe 0.570 s; ScaLAPACK 0.677 s at 2.1,
+  0.575 s at 1.7 and 0.397 s at 1.0.  IMe wins only above about 1.68;
+  1.7 keeps that win by under 1 % and loses (17280, 1296), which needs
+  more than 1.94.
 """
 
 from __future__ import annotations

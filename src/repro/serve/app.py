@@ -84,7 +84,7 @@ class CampaignServer(ThreadingHTTPServer):
         self.compute_timeout_s = compute_timeout_s
         self.calibration = calibration_fingerprint(DEFAULT_CALIBRATION)
         self.model = _fingerprint_for(marconi_a3())
-        self.started = time.monotonic()  # repro: allow[DET001] -- uptime reporting
+        self.started = time.monotonic()
         self.counters_lock = threading.Lock()
         self.requests: dict[str, int] = {}
 
@@ -108,7 +108,7 @@ class CampaignServer(ThreadingHTTPServer):
             requests = dict(self.requests)
         return {
             "schema": WIRE_SCHEMA,
-            "uptime_s": time.monotonic() - self.started,  # repro: allow[DET001] -- uptime reporting
+            "uptime_s": time.monotonic() - self.started,
             "calibration": self.calibration,
             "model": self.model,
             "requests": requests,
@@ -185,27 +185,30 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ----------------------------------------------------------------- POST
     def do_POST(self) -> None:  # noqa: N802 - stdlib method name
+        # Read the body before dispatch: an answer sent with the body
+        # still unread would leave it on a keep-alive connection, to be
+        # parsed as the next request line.
+        body = self._read_body()
+        if body is None:
+            return
         url = urlparse(self.path)
         if url.path == "/run":
             self.server.count("run")
-            self._handle_run(url)
+            self._handle_run(url, body)
         elif url.path == "/batch":
             self.server.count("batch")
-            self._handle_batch()
+            self._handle_batch(body)
         else:
             self._send_json(404, {"error": "not-found", "path": url.path})
 
     # ----------------------------------------------------------------- /run
-    def _handle_run(self, url) -> None:
-        t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- serving latency reporting
+    def _handle_run(self, url, body: bytes) -> None:
+        t0 = time.perf_counter()
         query = parse_qs(url.query)
         grid = query.get("grid", ["experiment"])[0]
         if grid not in _GRIDS:
             self._send_json(400, {"error": "bad-grid", "grid": grid,
                                   "choices": list(_GRIDS)})
-            return
-        body = self._read_body()
-        if body is None:
             return
         try:
             text = body.decode("utf-8")
@@ -288,23 +291,20 @@ class _Handler(BaseHTTPRequestHandler):
                 "address": address,
                 "cached": flight is None,
                 "result": row,
-                "wall_s": time.perf_counter() - t0,  # repro: allow[DET001,DET101] -- serving latency reporting
+                "wall_s": time.perf_counter() - t0,
             })
         line({
             "type": "done",
             "tasks": len(tasks),
             "from_cache": cached,
-            "wall_s": time.perf_counter() - t0,  # repro: allow[DET001,DET101] -- serving latency reporting
+            "wall_s": time.perf_counter() - t0,
         })
 
     # --------------------------------------------------------------- /batch
-    def _handle_batch(self) -> None:
-        t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- serving latency reporting
+    def _handle_batch(self, body: bytes) -> None:
+        t0 = time.perf_counter()
         from repro.experiments.runner import run_analytic_batch
 
-        body = self._read_body()
-        if body is None:
-            return
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -386,7 +386,7 @@ class _Handler(BaseHTTPRequestHandler):
             "count": len(body),
             "from_cache": len(tasks) - len(misses),
             "results": body,
-            "wall_s": time.perf_counter() - t0,  # repro: allow[DET001,DET101] -- serving latency reporting
+            "wall_s": time.perf_counter() - t0,
         })
 
 

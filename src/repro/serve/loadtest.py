@@ -137,9 +137,9 @@ class Client:
 
 def _phase_cold(port: int) -> tuple[dict, list[dict]]:
     client = Client(port)
-    t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    t0 = time.perf_counter()
     status, lines = client.request("POST", "/run", PAPER_SPEC)
-    wall = time.perf_counter() - t0  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    wall = time.perf_counter() - t0
     client.close()
     if status != 200:
         raise RuntimeError(f"cold /run failed: HTTP {status}: {lines}")
@@ -183,9 +183,9 @@ def _phase_warm(port: int, configs: list[dict], rounds: int,
                     break
                 cursor["next"] = index + 1
             body = json.dumps({"configs": [jobs[index]]})
-            t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+            t0 = time.perf_counter()
             status, payload = client.request("POST", "/batch", body)
-            latencies[slot].append(time.perf_counter() - t0)  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+            latencies[slot].append(time.perf_counter() - t0)
             if status != 200:
                 with lock:
                     errors.append(f"HTTP {status}: {payload}")
@@ -195,12 +195,12 @@ def _phase_warm(port: int, configs: list[dict], rounds: int,
 
     pool = [threading.Thread(target=worker, args=(slot,))
             for slot in range(threads)]
-    t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    t0 = time.perf_counter()
     for thread in pool:
         thread.start()
     for thread in pool:
         thread.join()
-    wall = time.perf_counter() - t0  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    wall = time.perf_counter() - t0
     if errors:
         raise RuntimeError(f"warm phase failed: {errors[0]}")
     flat = sorted(lat for bucket in latencies for lat in bucket)
@@ -243,12 +243,12 @@ def _phase_dedup(port: int, clients: int, seed: int) -> dict:
                 failures.append(repr(exc))
 
     pool = [threading.Thread(target=worker) for _ in range(clients)]
-    t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    t0 = time.perf_counter()
     for thread in pool:
         thread.start()
     for thread in pool:
         thread.join()
-    wall = time.perf_counter() - t0  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    wall = time.perf_counter() - t0
     if failures:
         raise RuntimeError(f"dedup phase failed: {failures[0]}")
     _, after = stats.request("GET", "/stats")
@@ -270,7 +270,7 @@ def _phase_batch(port: int, configs_per_side: int, seed: int) -> dict:
     client = Client(port, timeout=600.0)
     # Per-request side: cold single-task /run requests, sequentially —
     # each one is a run_analytic evaluation in a pool worker.
-    loop_t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    loop_t0 = time.perf_counter()
     for index in range(configs_per_side):
         config = _fresh_config(index, seed + index)
         status, lines = client.request(
@@ -280,16 +280,16 @@ def _phase_batch(port: int, configs_per_side: int, seed: int) -> dict:
         )
         if status != 200:
             raise RuntimeError(f"batch-loop /run failed: HTTP {status}")
-    loop_wall = time.perf_counter() - loop_t0  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    loop_wall = time.perf_counter() - loop_t0
     # Batched side: one /batch over equally many *different* fresh
     # configurations (disjoint seeds, so both sides start cold).
     batch_configs = [_fresh_config(index, seed + configs_per_side + index)
                      for index in range(configs_per_side)]
-    batch_t0 = time.perf_counter()  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    batch_t0 = time.perf_counter()
     status, payload = client.request(
         "POST", "/batch", json.dumps({"configs": batch_configs})
     )
-    batch_wall = time.perf_counter() - batch_t0  # repro: allow[DET001,DET101] -- wall-clock IS the measurand here
+    batch_wall = time.perf_counter() - batch_t0
     client.close()
     if status != 200 or payload["from_cache"] != 0:
         raise RuntimeError(

@@ -219,9 +219,9 @@ class TestStaleBaseline:
 class TestSuppressionEdgeCases:
     def test_multi_rule_comment_with_spaces(self):
         supp = collect_suppressions(
-            "x = f()  # repro: allow[DET001, UNIT002]\n")
-        assert supp[1] == {"DET001", "UNIT002"}
-        assert is_suppressed("DET001", 1, supp)
+            "x = f()  # repro: allow[DET101, UNIT002]\n")
+        assert supp[1] == {"DET101", "UNIT002"}
+        assert is_suppressed("DET101", 1, supp)
         assert is_suppressed("UNIT002", 1, supp)
         assert not is_suppressed("UNIT001", 1, supp)
 
@@ -251,7 +251,7 @@ class TestSuppressionEdgeCases:
             "import time\n\n"
             "def f():\n"
             "    elapsed_s = time.time()"
-            "  # repro: allow[DET001,DET101]\n"
+            "  # repro: allow[DET101]\n"
             "    return elapsed_s\n"
         )
         assert findings == []
@@ -299,6 +299,9 @@ class TestExplainCli:
         assert "Violates:" in proc.stdout
 
     def test_unknown_rule_is_a_usage_error(self):
-        proc = _run_cli("--explain", "NOPE999")
-        assert proc.returncode == 2
-        assert "unknown rule id" in proc.stderr
+        # A retired rule's id is unknown too, to --select as to --explain.
+        for args in (("--explain", "NOPE999"), ("--explain", "MPI002"),
+                     ("--select", "DET001", "src")):
+            proc = _run_cli(*args)
+            assert proc.returncode == 2, args
+            assert "unknown rule id" in proc.stderr, args

@@ -205,6 +205,29 @@ class TestContentLength:
         assert status == 200 and body["ok"] is True
 
 
+class TestKeepAlive:
+    @pytest.mark.parametrize("path", ["/nope", "/run?grid=bogus"])
+    def test_rejected_post_consumes_its_body(self, server, path):
+        # An answer sent before reading the body must not leave it on the
+        # connection, where it would be parsed as the next request.
+        conn = http.client.HTTPConnection("127.0.0.1", port_of(server),
+                                          timeout=10.0)
+        try:
+            conn.request("POST", path, body=json.dumps({"configs": []}),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            response.read()
+            assert response.status in (400, 404)
+            assert response.headers.get("Connection") != "close"
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            text = response.read().decode()
+        finally:
+            conn.close()
+        assert response.status == 200
+        assert json.loads(text)["ok"] is True
+
+
 # ------------------------------------------------------------ bit-identity
 class TestRunContract:
     def test_run_streams_and_caches(self, server):
