@@ -10,8 +10,9 @@ every subsequent PR has a wall-clock trajectory to compare against.
 
 Three front ends share this implementation: ``tools/bench_sim.py``,
 ``repro bench``, and the ``make bench`` / ``make bench-quick`` targets
-(the latter is the CI guard: quick points only, fail when fast-path
-wall-clock regresses more than 2x against the committed baseline).
+(the latter is the CI guard: quick points only, fail when a modeled
+quantity drifts between modes or from the committed baseline, or when
+fast-path wall-clock regresses more than 2x against it).
 
 See ``docs/performance.md`` for the file format and the fast-path
 equivalence contract.
@@ -36,6 +37,9 @@ SCHEMA_VERSION = 1
 BASELINE_NAME = "BENCH_simperf.json"
 #: ``make bench-quick`` fails when current wall-clock exceeds baseline × this
 REGRESSION_FACTOR = 2.0
+#: simulated quantities ``--check`` requires to match bitwise, between
+#: the two modes of a point and against the baseline
+MODELED_FIELDS = ("virtual_s", "messages", "bytes", "total_energy_j")
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ DEFAULT_POINTS: tuple[BenchPoint, ...] = (
 #: counts on Marconi A3, through the *exact* skeletons (the full
 #: communication schedule with bitwise-faithful wire sizes and flop
 #: charges — see :mod:`repro.obs.symbolic`).  One machine, one sitting:
-#: these are the points that prove the aggregate closed forms carry the
+#: these are the points that prove the fast engines' closed forms carry the
 #: DES to n = 34560.  Fast mode only — the message-level reference at
 #: this scale is exactly what the closed forms exist to avoid.
 PAPER_SKELETON_POINTS: tuple[BenchPoint, ...] = (
@@ -265,31 +269,52 @@ def format_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _drift(label: str, name: str, got: dict, ref_name: str,
+           ref: dict) -> list[str]:
+    return [f"{label}: {name} {key} {got.get(key)!r} != {ref_name} "
+            f"{ref.get(key)!r}"
+            for key in MODELED_FIELDS if got.get(key) != ref.get(key)]
+
+
 def check_regression(current: dict, baseline: dict,
                      factor: float = REGRESSION_FACTOR) -> list[str]:
-    """Compare fast-path wall-clock of a report against a baseline.
+    """Compare a report against a baseline: modeled drift and fast wall.
 
-    Every point of the *current* report that also exists in the
-    baseline is checked (``bench --quick --check`` reports only the
-    quick points, so its guard is unchanged; ``bench --skeleton
+    Every point of the *current* report fails on modeled drift: its
+    ``fast`` and ``message`` results must agree on
+    :data:`MODELED_FIELDS` (the fast-path equivalence contract), and
+    each mode must reproduce the baseline's values exactly.  A point
+    that also exists in the baseline fails when its fast-path
+    wall-clock exceeds ``factor`` times the baseline's (``bench --quick
+    --check`` reports only the quick points; ``bench --skeleton
     --check`` guards the paper-scale skeleton points the same way).
     Returns a list of human-readable failures (empty = pass).  Points
-    missing from either side are skipped — the guard is about
+    or modes missing from either side are skipped — the guard is about
     regressions, not coverage.
     """
     base_by_label = {e["label"]: e for e in baseline.get("points", [])}
     failures = []
     for entry in current.get("points", []):
-        base = base_by_label.get(entry["label"])
+        label = entry["label"]
+        results = entry.get("results", {})
+        if "fast" in results and "message" in results:
+            failures += _drift(label, "fast", results["fast"], "message",
+                               results["message"])
+        base = base_by_label.get(label)
         if base is None:
             continue
-        cur_fast = entry.get("results", {}).get("fast")
-        base_fast = base.get("results", {}).get("fast")
+        base_results = base.get("results", {})
+        for mode, got in results.items():
+            if mode in base_results:
+                failures += _drift(label, mode, got, f"baseline {mode}",
+                                   base_results[mode])
+        cur_fast = results.get("fast")
+        base_fast = base_results.get("fast")
         if cur_fast is None or base_fast is None:
             continue
         if cur_fast["wall_s"] > factor * base_fast["wall_s"]:
             failures.append(
-                f"{entry['label']}: fast wall {cur_fast['wall_s']:.3f}s "
+                f"{label}: fast wall {cur_fast['wall_s']:.3f}s "
                 f"> {factor:.1f}x baseline {base_fast['wall_s']:.3f}s "
                 f"({host_note(base.get('host'))})"
             )
@@ -323,9 +348,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "an existing file is merged by point label, "
                              "so partial suites update their points only")
     parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) when quick-point fast wall-clock "
-                             f"regresses >{REGRESSION_FACTOR:g}x vs the "
-                             "committed baseline")
+                        help="fail (exit 1) when a modeled quantity "
+                             "differs between modes or from the committed "
+                             "baseline, or fast wall-clock regresses "
+                             f">{REGRESSION_FACTOR:g}x vs it")
     parser.add_argument("--baseline", metavar="PATH", default=None,
                         help="baseline JSON for --check "
                              f"(default: {BASELINE_NAME} at the repo root)")
@@ -384,6 +410,11 @@ def run_from_args(args) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(format_table(report))
+    if args.check:
+        # Read before --write can merge this run into the same file.
+        path = Path(args.baseline) if args.baseline \
+            else _default_baseline_path()
+        baseline = json.loads(path.read_text()) if path.exists() else None
     if args.write:
         out = Path(args.write)
         written = report
@@ -392,12 +423,9 @@ def run_from_args(args) -> int:
         out.write_text(json.dumps(written, indent=2) + "\n")
         print(f"wrote {args.write}")
     if args.check:
-        path = Path(args.baseline) if args.baseline \
-            else _default_baseline_path()
-        if not path.exists():
+        if baseline is None:
             print(f"no baseline at {path}; nothing to check against")
             return 1
-        baseline = json.loads(path.read_text())
         failures = check_regression(report, baseline)
         if failures:
             for f in failures:

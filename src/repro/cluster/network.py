@@ -14,6 +14,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.cluster.machine import NetworkParams
+from repro.simmpi.fabric import HopCosts
 
 
 class ClusterFabric:
@@ -54,6 +55,21 @@ class ClusterFabric:
         else:
             base = p.inter_latency + nbytes / p.inter_bandwidth
         return base * self._jitter()
+
+    def hop_costs(self) -> HopCosts | None:
+        """Constant hop costs, or ``None`` under jitter or NIC queueing.
+
+        Without jitter the multiplier is exactly ``1.0`` (``x * 1.0`` is
+        bitwise ``x``), and without serialization ``transfer_schedule``
+        is ``now + transfer_time``, so the constants price every hop
+        exactly as the methods do.
+        """
+        if self.jitter_frac != 0.0 or self.serialize_injection:
+            return None
+        p = self.params
+        return HopCosts(p.intra_latency, p.intra_bandwidth,
+                        p.inter_latency, p.inter_bandwidth,
+                        p.cpu_overhead, p.cpu_overhead_per_byte)
 
     def transfer_schedule(self, nbytes: int, src_node: int, dst_node: int,
                           now: float) -> float:

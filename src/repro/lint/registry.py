@@ -25,7 +25,7 @@ class RuleSpec:
     bad: str           # minimal violating example
     good: str          # the minimal fix of the same example
     #: the path the examples pretend to live at — some rules are
-    #: path-scoped (PERF002 to the fast engines, CFG001 to experiments/)
+    #: path-scoped (CFG001 to experiments/)
     example_path: str = "snippet.py"
 
 
@@ -244,26 +244,6 @@ RULES: tuple[RuleSpec, ...] = (
             "        m = yield from comm.bcast(panels.row(level), root=0)\n"
             "        panels.defer_update(level, m)\n"
         ),
-    ),
-    RuleSpec(
-        id="PERF002", family="PERF",
-        summary="per-rank Python loop in a fast-engine body",
-        rationale=(
-            "Fast-engine bodies are closed forms; a per-rank Python "
-            "loop reintroduces O(P) work the mode was built to remove."
-        ),
-        bad=(
-            "def _fused_times(world, size, root):\n"
-            "    times = {}\n"
-            "    for r in range(size):\n"
-            "        times[r] = world.transfer(root, r)\n"
-            "    return times\n"
-        ),
-        good=(
-            "def _fused_times(world, size, root):\n"
-            "    return world.transfer_vector(root, size)\n"
-        ),
-        example_path="src/repro/simmpi/fastcoll.py",
     ),
     RuleSpec(
         id="CFG001", family="CFG",

@@ -16,19 +16,6 @@ The fix is to defer the updates through a
 :class:`~repro.solvers.kernels.PanelAccumulator` and flush them as one
 BLAS-3 panel update.  Deliberate level-wise reference paths (kept for
 equivalence testing) carry ``# repro: allow[PERF001]``.
-
-PERF002 — per-rank Python loops in the fast-engine bodies.
-
-The fast collective/p2p engines (modules whose path names ``fastcoll``
-or ``fastp2p``) exist to collapse O(ranks) per-edge walks into the
-per-level aggregate closed forms of :mod:`repro.simmpi.aggregate` — a
-``for ... in range(size)`` (or any ``range`` bounded by the world
-``size``) reintroduces exactly the scaling cliff they remove, paying
-O(ranks) interpreter iterations per collective at paper scale
-(p = 576).  The rule flags such statement loops in those modules;
-comprehensions are exempt (they build the vector inputs the closed
-forms consume), and the retained per-edge reference paths carry
-``# repro: allow[PERF002]``.
 """
 
 from __future__ import annotations
@@ -39,10 +26,6 @@ from repro.lint.findings import Finding
 from repro.lint.model import ModuleInfo, build_parent_map, iter_own_nodes
 
 RULE = "PERF001"
-RULE_LOOP = "PERF002"
-
-#: path fragments naming the fast engines PERF002 polices
-FAST_ENGINE_MARKERS = ("fastcoll", "fastp2p")
 
 
 def _outer_call(node: ast.AST, module: ModuleInfo) -> bool:
@@ -63,39 +46,8 @@ def _in_loop(node: ast.AST, parents: dict[int, ast.AST]) -> bool:
     return False
 
 
-def _size_bounded_range(node: ast.For) -> bool:
-    """``for ... in range(...)`` with the world ``size`` in the bounds."""
-    it = node.iter
-    if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
-            and it.func.id == "range"):
-        return False
-    return any(isinstance(sub, ast.Name) and sub.id == "size"
-               for arg in it.args for sub in ast.walk(arg))
-
-
-def _check_fast_engine_loops(module: ModuleInfo) -> list[Finding]:
-    path = module.path.replace("\\", "/")
-    if not any(marker in path for marker in FAST_ENGINE_MARKERS):
-        return []
-    findings: list[Finding] = []
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.For) and _size_bounded_range(node)):
-            continue
-        findings.append(Finding(
-            path=module.path, line=node.lineno,
-            col=node.col_offset + 1, rule=RULE_LOOP,
-            message=("per-rank Python loop (range over the world size) "
-                     "in a fast-engine body — this pays O(ranks) "
-                     "interpreter iterations per collective at paper "
-                     "scale; evaluate the level through the aggregate "
-                     "closed forms (repro.simmpi.aggregate) instead"),
-            text=module.line_text(node.lineno),
-        ))
-    return findings
-
-
 def check(module: ModuleInfo) -> list[Finding]:
-    findings = _check_fast_engine_loops(module)
+    findings: list[Finding] = []
     if "numpy" not in set(module.imports.values()) \
             and not any(c.startswith("numpy.") for c in module.imports.values()):
         return findings

@@ -360,12 +360,11 @@ class TrafficStats:
 
     def record_bulk(self, messages: int, nbytes: int,
                     inter_node_messages: int, inter_node_bytes: int) -> None:
-        """Aggregate form of :meth:`record` for a whole modeled level.
+        """Aggregate form of :meth:`record` for a whole collective.
 
         Counter sums are order-free exact integers, so recording a
         collective's hops in one call is bit-identical to per-hop
-        :meth:`record` calls (the vectorized per-level evaluators in
-        :mod:`repro.simmpi.aggregate` use this).
+        :meth:`record` calls (the fast engines' hop loops use this).
         """
         self.messages += messages
         self.bytes += nbytes

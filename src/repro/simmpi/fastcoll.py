@@ -6,9 +6,9 @@ event-heap traffic, and Python-generator overhead per hop — the dominant
 wall-clock term in paper-scale sweeps.  This module computes every rank's
 completion time *in closed form* from the same latency/bandwidth cost
 model and suspends each rank exactly once, on a single wake event
-scheduled at its completion time.  Byte/hop/inter-node counters are
-recorded identically per modeled hop, so energy accounting,
-``PowerTracer`` lanes, and Chrome-trace collective spans are unchanged.
+scheduled at its completion time.  Byte/hop/inter-node counters add up
+to the message path's exactly, so energy accounting, ``PowerTracer``
+lanes, and Chrome-trace collective spans are unchanged.
 It is enabled by ``Simulator(fast_collectives=True)`` — the default; the
 message-level path is kept as the validation reference
 (``fast_collectives=False``).
@@ -53,11 +53,26 @@ and therefore identical energy totals, plus identical
 communicator splits; ``docs/performance.md`` documents it.
 
 Two details make the virtual times bit-identical rather than merely
-approximately equal: :func:`_after_send` / :func:`_arrival` mirror the
-float round trip of ``Simulator.call_at`` (``now + ((t - now))``) that the
-message-level path incurs when scheduling deliveries and send
-completions, and every wake uses ``Simulator.schedule_at`` (exact
-absolute timestamps, never a relative delay).
+approximately equal: every hop reproduces the float round trips of
+``Simulator.call_at`` (``now + ((t - now))``) that the message-level path
+incurs when scheduling deliveries and send completions — an arrival is
+``t + ((t + dt) - t)``, a send completion ``t + ((t + overhead) - t)`` —
+and every wake uses ``Simulator.schedule_at`` (exact absolute timestamps,
+never a relative delay).
+
+How a hop is priced
+-------------------
+Every collective here is one loop over its modeled hops, and the loop's
+only branch is how it prices a hop.  A fabric with constant hop costs
+(:func:`repro.simmpi.fabric.hop_costs` — ``UniformFabric``, or
+``ClusterFabric`` without jitter or NIC serialization) has them read once
+per collective, and each hop is computed inline with the fabric's own
+float expressions.  Any other fabric is called through its arrival-time
+callable (:func:`repro.simmpi.fabric.schedule_of`) at the same point of
+the same loop, so seeded jitter draws and NIC queue updates keep their
+order.  Traffic counters are booked once per loop with
+``TrafficStats.record_bulk`` (order-free integer sums); tracer metric
+lanes stay per hop.
 
 With a *stateful* fabric (seeded jitter, ``serialize_injection``) the fast
 path still charges the same cost model per modeled hop, but hops may
@@ -76,13 +91,15 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.memo import register_cache
-from repro.simmpi import aggregate
-from repro.simmpi.datatypes import copy_payload, payload_nbytes
+from repro.simmpi.datatypes import (
+    DEFAULT_OBJECT_BYTES,
+    copy_payload,
+    payload_nbytes,
+)
 from repro.simmpi.engine import Park, SleepUntil
 from repro.simmpi.errors import CommMismatchError
+from repro.simmpi.fabric import HopCosts, hop_costs, schedule_of
 
 #: Collective tags live below the valid point-to-point range so they can
 #: never collide with user tags.  Defined here (and re-exported by
@@ -90,30 +107,44 @@ from repro.simmpi.errors import CommMismatchError
 #: plain arithmetic on ``comm._coll_seq`` instead of a method call.
 _COLL_TAG_BASE = -1000
 
+#: placeholder constants for the fabric-call branch: the hop loops
+#: evaluate ``dt`` from them but never use it there
+_UNPRICED = HopCosts(0.0, 1.0, 0.0, 1.0, 0.0, 0.0)
 
-def _arrival(world, nbytes: int, src_node: int, dst_node: int,
-             start: float) -> float:
-    """Mailbox arrival time of a hop whose send starts at ``start``.
+#: payload types that copy-on-send passes through unchanged
+_IMMUTABLE = frozenset((float, int, bool, str, type(None)))
 
-    Mirrors ``Communicator.isend`` (including the ``call_at`` relative
-    round trip) so the returned float is bit-identical to the heap
-    timestamp the message-level path would produce.
+
+def _pricing(fabric, costs: HopCosts | None):
+    """``(schedule, costs)`` of one collective on ``fabric``.
+
+    ``schedule`` is ``None`` when ``costs`` are the fabric's constant hop
+    costs; otherwise it is the fabric's arrival-time callable and
+    ``costs`` are placeholders.
     """
-    schedule = getattr(world.fabric, "transfer_schedule", None)
-    if schedule is not None:
-        raw = schedule(nbytes, src_node, dst_node, start)
+    if costs is None:
+        return schedule_of(fabric), _UNPRICED
+    return None, costs
+
+
+def _fixed_hop(fabric, schedule, costs: HopCosts, nb: int):
+    """``(overhead, dt_intra, dt_inter)`` of an ``nb``-byte hop."""
+    if schedule is None:
+        overhead = costs.ovh + costs.ovh_pb * nb
     else:
-        raw = start + world.fabric.transfer_time(nbytes, src_node, dst_node)
-    return start + (raw - start)
+        overhead = fabric.cpu_overhead(nb)
+    return (overhead, costs.intra_lat + nb / costs.intra_bw,
+            costs.inter_lat + nb / costs.inter_bw)
 
 
-def _after_send(t: float, overhead: float) -> float:
-    """Sender-side completion of a blocking send starting at ``t``.
-
-    Mirrors the eager protocol's ``call_at(now + cpu_overhead)`` float
-    round trip.
-    """
-    return t + ((t + overhead) - t)
+def _bcast_values(payload: Any, size: int, root: int) -> list:
+    """Per-rank broadcast results: the root keeps ``payload`` itself,
+    every other rank gets its own copy (copy-on-send)."""
+    if copy_payload(payload) is payload:
+        # Immutable payloads pass through copy-on-send unchanged.
+        return [payload] * size
+    return [payload if r == root else copy_payload(payload)
+            for r in range(size)]
 
 
 def _account_trace(tracer, nbytes: int, src_node: int, dst_node: int,
@@ -125,16 +156,6 @@ def _account_trace(tracer, nbytes: int, src_node: int, dst_node: int,
     if src_node != dst_node:
         metrics.inc("comm.inter_node_bytes", nbytes,
                     rank=wrank, node=src_node)
-
-
-def _account(world, nbytes: int, src_node: int, dst_node: int,
-             wrank: int) -> None:
-    """Byte/hop/inter-node accounting, identical to ``isend``'s."""
-    if world.track_traffic:
-        world.stats.record(nbytes, src_node != dst_node)
-    tracer = world.tracer
-    if tracer is not None:
-        _account_trace(tracer, nbytes, src_node, dst_node, wrank)
 
 
 @register_cache
@@ -172,16 +193,25 @@ def _children_desc_table(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_children_desc(v, size) for v in range(size))
 
 
-class _DownRec:
-    """Rendezvous record for root-to-leaves collectives (bcast, scatter).
+@register_cache
+@functools.lru_cache(maxsize=None)
+def _parents_table(size: int) -> tuple[int, ...]:
+    """vrank -> parent vrank in the binomial tree (vrank 0 maps to 0)."""
+    return tuple(_tree(v, size)[0] if v else 0 for v in range(size))
 
-    All lists are indexed by virtual rank (bcast) or comm rank (scatter).
-    ``arrival[v]``/``value[v]`` are filled by the parent's cascade; a rank
-    arriving before them parks in ``procs[v]``.
+
+class _DownRec:
+    """Rendezvous record for a broadcast.
+
+    All lists are indexed by virtual rank.  ``arrival[v]``/``value[v]``
+    are filled by the parent's cascade; a rank arriving before them
+    parks in ``procs[v]``.  The root prices the hop (``schedule``,
+    ``overhead``, ``dt_intra``, ``dt_inter`` — see :func:`_fixed_hop`)
+    once, before its cascade; every later cascade reads it from here.
     """
 
     __slots__ = ("entry", "procs", "arrival", "value", "compl", "nbytes",
-                 "served")
+                 "served", "schedule", "overhead", "dt_intra", "dt_inter")
 
     def __init__(self, size: int):
         self.entry: list = [None] * size
@@ -196,20 +226,22 @@ class _DownRec:
 class _UpRec:
     """Rendezvous record for leaves-to-root collectives (reduce, gather).
 
-    ``arrival[v]``/``value[v]``/``nbytes_in[v]`` describe the message
-    virtual rank ``v`` sent to its parent; ``pending[v]`` counts children
-    that have not contributed yet.
+    ``arrival[v]``/``value[v]``/``wire[v]``/``ovh_in[v]`` describe the
+    message virtual rank ``v`` sent to its parent (a gather presets
+    ``wire[v]`` to ``v``'s own share of it); ``pending[v]`` counts
+    children that have not contributed yet.
     """
 
-    __slots__ = ("entry", "procs", "arrival", "value", "nbytes_in", "acc",
-                 "pending", "compl", "served")
+    __slots__ = ("entry", "procs", "arrival", "value", "wire", "ovh_in",
+                 "acc", "pending", "compl", "served")
 
     def __init__(self, size: int):
         self.entry: list = [None] * size
         self.procs: list = [None] * size
         self.arrival: list = [None] * size
         self.value: list = [None] * size
-        self.nbytes_in: list = [0] * size
+        self.wire: list = [0] * size
+        self.ovh_in: list = [0.0] * size
         self.acc: list = [None] * size
         self.pending: list = list(_child_counts(size))
         self.compl: list = [0.0] * size
@@ -222,25 +254,25 @@ def _bcast_cascade(comm, rec: _DownRec, key, root: int, size: int,
                    v: int, data, t_ready: float) -> None:
     """Model ``v``'s sends and completion; recurse into arrived children.
 
-    The hot loop inlines :func:`_arrival` / :func:`_account` with every
-    attribute lookup hoisted — this is the innermost loop of a fast-path
-    run (one iteration per modeled hop).
+    This is the innermost loop of a fast-path run (one iteration per
+    modeled hop), so every attribute lookup is hoisted and each hop's
+    arrival is computed inline (see "How a hop is priced").
     """
     world = comm.world
     sim = world.sim
-    fabric = world.fabric
     nbytes = rec.nbytes
-    overhead = fabric.cpu_overhead(nbytes)
-    schedule = getattr(fabric, "transfer_schedule", None)
-    transfer_time = fabric.transfer_time
-    track = world.track_traffic
-    stats_record = world.stats.record
+    schedule = rec.schedule
+    overhead = rec.overhead
+    dt_intra = rec.dt_intra
+    dt_inter = rec.dt_inter
     tracer = world.tracer
     nodes = comm._nodes
-    group = comm._group
     arrival, value, entry, procs = rec.arrival, rec.value, rec.entry, rec.procs
     compl = rec.compl
     children_tbl = _children_table(size)
+    # Every rank's value is a copy of the root's: share it if immutable.
+    shared = type(data) in _IMMUTABLE
+    hops = inter = 0
     stack = [(v, data, t_ready)]
     while stack:
         u, data, t = stack.pop()
@@ -248,28 +280,33 @@ def _bcast_cascade(comm, rec: _DownRec, key, root: int, size: int,
         if children:
             ur = (u + root) % size
             src_node = nodes[ur]
-            wrank = group[ur]
+            hops += len(children)
             for c in children:
                 dst_node = nodes[(c + root) % size]
-                if schedule is not None:
-                    raw = schedule(nbytes, src_node, dst_node, t)
+                if dst_node == src_node:
+                    dt = dt_intra
                 else:
-                    raw = t + transfer_time(nbytes, src_node, dst_node)
-                arr = t + (raw - t)
-                if track:
-                    stats_record(nbytes, src_node != dst_node)
+                    dt = dt_inter
+                    inter += 1
+                if schedule is None:
+                    arr = t + ((t + dt) - t)
+                else:
+                    arr = t + (schedule(nbytes, src_node, dst_node, t) - t)
                 if tracer is not None:
-                    _account_trace(tracer, nbytes, src_node, dst_node, wrank)
-                data_c = value[c] = copy_payload(data)
+                    _account_trace(tracer, nbytes, src_node, dst_node,
+                                   comm._group[ur])
+                data_c = value[c] = data if shared else copy_payload(data)
                 t = t + ((t + overhead) - t)
                 e = entry[c]
                 if e is None:
                     arrival[c] = arr
-                elif children_tbl[c]:
-                    stack.append((c, data_c, max(e, arr) + overhead))
+                    continue
+                # ``max(e, arr)`` without the call
+                tc = (arr if arr > e else e) + overhead
+                if children_tbl[c]:
+                    stack.append((c, data_c, tc))
                 else:
                     # Leaf child already waiting: complete it inline.
-                    tc = max(e, arr) + overhead
                     compl[c] = tc
                     rec.served += 1
                     p = procs[c]
@@ -280,6 +317,8 @@ def _bcast_cascade(comm, rec: _DownRec, key, root: int, size: int,
         p = procs[u]
         if p is not None:
             sim.schedule_at(t, p._step, value[u])
+    if world.track_traffic:
+        world.stats.record_bulk(hops, nbytes * hops, inter, nbytes * inter)
     if rec.served == size:
         del world._fast_colls[key]
 
@@ -301,7 +340,13 @@ def fast_bcast(comm, payload: Any, root: int, nbytes: int | None):
     now = sim.now
     rec.entry[v] = now
     if v == 0:
-        rec.nbytes = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        nb = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        fabric = world.fabric
+        schedule, costs = _pricing(fabric, hop_costs(fabric))
+        rec.nbytes = nb
+        rec.schedule = schedule
+        rec.overhead, rec.dt_intra, rec.dt_inter = _fixed_hop(
+            fabric, schedule, costs, nb)
         _bcast_cascade(comm, rec, key, root, size, 0, payload, now)
         t = rec.compl[0]
         if t > now:
@@ -310,18 +355,17 @@ def fast_bcast(comm, payload: Any, root: int, nbytes: int | None):
     arr = rec.arrival[v]
     if arr is None:
         return (yield Park(rec.procs, v))
-    overhead = world.fabric.cpu_overhead(rec.nbytes)
     data = rec.value[v]
+    t = (arr if arr > now else now) + rec.overhead
     if not _children_table(size)[v]:
         # Leaf with its message already delivered: no cascade needed.
-        t = max(now, arr) + overhead
         rec.served += 1
         if rec.served == size:
             del colls[key]
         if t > now:
             yield SleepUntil(t)
         return data
-    _bcast_cascade(comm, rec, key, root, size, v, data, max(now, arr) + overhead)
+    _bcast_cascade(comm, rec, key, root, size, v, data, t)
     t = rec.compl[v]
     if t > now:
         yield SleepUntil(t)
@@ -339,48 +383,86 @@ def _up_cascade(comm, rec: _UpRec, key, root: int, size: int, v: int,
     the message-level receive order.  ``finalize(acc)`` post-processes the
     root's folded value before it is handed to a parked root process
     (gather's rank-ordered list).
+
+    A gather's subtree dict travels up by reference: its payloads were
+    copied once at entry, and its wire size is ``wire[v]`` plus the
+    children's (``payload_nbytes`` of a rank-keyed dict is a plain sum
+    over members), so no hop re-copies or re-sizes it.  A reduction's
+    value is copied and sized per hop, as copy-on-send requires.
     """
     world = comm.world
     sim = world.sim
     fabric = world.fabric
+    schedule, costs = _pricing(fabric, hop_costs(fabric))
+    intra_lat, intra_bw, inter_lat, inter_bw, ovh, ovh_pb = costs
+    cpu_overhead = fabric.cpu_overhead
+    merge = fold is _merge
+    tracer = world.tracer
+    nodes = comm._nodes
     children_desc = _children_desc_table(size)
+    parents = _parents_table(size)
+    entry, procs, accs = rec.entry, rec.procs, rec.acc
+    arrival, value, wire, ovh_in = rec.arrival, rec.value, rec.wire, rec.ovh_in
+    hops = total = inter_msgs = inter_bytes = 0
     while True:
-        t = rec.entry[v]
-        acc = rec.acc[v]
+        t = entry[v]
+        acc = accs[v]
+        abytes = wire[v]
         for c in children_desc[v]:
-            t = max(t, rec.arrival[c]) + fabric.cpu_overhead(rec.nbytes_in[c])
-            acc = fold(acc, rec.value[c])
-        rec.acc[v] = acc
+            a = arrival[c]
+            if a > t:
+                t = a
+            t = t + ovh_in[c]
+            acc = fold(acc, value[c])
+            abytes += wire[c]
+        accs[v] = acc
         if v == 0:
             compl = t
             result = acc if finalize is None else finalize(acc)
         else:
-            parent = _tree(v, size)[0]
+            parent = parents[v]
             vr = (v + root) % size
-            pr = (parent + root) % size
-            src_node = comm.node_of(vr)
-            dst_node = comm.node_of(pr)
-            abytes = payload_nbytes(acc)
-            arr = _arrival(world, abytes, src_node, dst_node, t)
-            _account(world, abytes, src_node, dst_node, comm.world_rank(vr))
-            rec.arrival[v] = arr
-            rec.value[v] = copy_payload(acc)
-            rec.nbytes_in[v] = abytes
-            compl, result = _after_send(t, fabric.cpu_overhead(abytes)), None
+            src_node = nodes[vr]
+            dst_node = nodes[(parent + root) % size]
+            if not merge:
+                abytes = payload_nbytes(acc)
+            if dst_node == src_node:
+                dt = intra_lat + abytes / intra_bw
+            else:
+                dt = inter_lat + abytes / inter_bw
+                inter_msgs += 1
+                inter_bytes += abytes
+            if schedule is None:
+                arrival[v] = t + ((t + dt) - t)
+                o = ovh + ovh_pb * abytes
+            else:
+                arrival[v] = t + (schedule(abytes, src_node, dst_node, t) - t)
+                o = cpu_overhead(abytes)
+            if tracer is not None:
+                _account_trace(tracer, abytes, src_node, dst_node,
+                               comm._group[vr])
+            hops += 1
+            total += abytes
+            value[v] = acc if merge else copy_payload(acc)
+            wire[v] = abytes
+            ovh_in[v] = o
+            compl, result = t + ((t + o) - t), None
         rec.compl[v] = compl
         rec.served += 1
-        p = rec.procs[v]
+        p = procs[v]
         if p is not None:
             sim.schedule_at(compl, p._step, result)
         if rec.served == size:
             del world._fast_colls[key]
-            return
+            break
         if v == 0:
-            return
+            break
         rec.pending[parent] -= 1
-        if rec.pending[parent] or rec.entry[parent] is None:
-            return
+        if rec.pending[parent] or entry[parent] is None:
+            break
         v = parent
+    if world.track_traffic and hops:
+        world.stats.record_bulk(hops, total, inter_msgs, inter_bytes)
 
 
 def fast_reduce(comm, payload: Any, op: Callable, root: int):
@@ -432,6 +514,7 @@ def fast_gather(comm, payload: Any, root: int):
     now = sim.now
     rec.entry[v] = now
     rec.acc[v] = {comm.rank: copy_payload(payload)}
+    rec.wire[v] = DEFAULT_OBJECT_BYTES + payload_nbytes(payload)
     # pending == 0 means every child already contributed — true for leaves
     # at entry, and for inner ranks (even the root) arriving last.
     if rec.pending[v]:
@@ -450,14 +533,14 @@ def fast_gather(comm, payload: Any, root: int):
 class _ScatterRec:
     """Rendezvous record for the flat scatter (indexed by comm rank)."""
 
-    __slots__ = ("entry", "procs", "arrival", "value", "nbytes", "served")
+    __slots__ = ("entry", "procs", "arrival", "value", "ovh_in", "served")
 
     def __init__(self, size: int):
         self.entry: list = [None] * size
         self.procs: list = [None] * size
         self.arrival: list = [None] * size
         self.value: list = [None] * size
-        self.nbytes: list = [0] * size
+        self.ovh_in: list = [0.0] * size
         self.served = 0
 
 
@@ -470,7 +553,6 @@ def fast_scatter(comm, payloads: list | None, root: int,
     """
     world = comm.world
     sim = world.sim
-    fabric = world.fabric
     comm._coll_seq = seq = comm._coll_seq + 1
     key = (comm.cid, _COLL_TAG_BASE - seq)
     size = comm.size
@@ -486,7 +568,7 @@ def fast_scatter(comm, payloads: list | None, root: int,
             rec.entry[rank] = now
             return (yield Park(rec.procs, rank))
         value = rec.value[rank]
-        t = max(now, arr) + fabric.cpu_overhead(rec.nbytes[rank])
+        t = max(now, arr) + rec.ovh_in[rank]
         rec.served += 1
         if rec.served == size:
             del world._fast_colls[key]
@@ -505,31 +587,51 @@ def fast_scatter(comm, payloads: list | None, root: int,
     rec = colls.get(key)
     if rec is None:
         rec = colls[key] = _ScatterRec(size)
+    fabric = world.fabric
+    schedule, costs = _pricing(fabric, hop_costs(fabric))
+    intra_lat, intra_bw, inter_lat, inter_bw, ovh, ovh_pb = costs
+    cpu_overhead = fabric.cpu_overhead
+    tracer = world.tracer
+    nodes = comm._nodes
+    src_node = nodes[rank]
     now = sim.now
     t = now
-    src_node = comm.node_of(rank)
-    wrank = comm.world_rank()
-    # repro: allow[PERF002] -- flat sequential send chain, inherently O(ranks)
+    total = inter_msgs = inter_bytes = 0
     for dst in range(size):
         if dst == root:
             continue
         pbytes = (payload_nbytes(payloads[dst]) if nbytes is None
                   else nbytes[dst])
-        dst_node = comm.node_of(dst)
-        arr = _arrival(world, pbytes, src_node, dst_node, t)
-        _account(world, pbytes, src_node, dst_node, wrank)
-        t = _after_send(t, fabric.cpu_overhead(pbytes))
+        dst_node = nodes[dst]
+        if dst_node == src_node:
+            dt = intra_lat + pbytes / intra_bw
+        else:
+            dt = inter_lat + pbytes / inter_bw
+            inter_msgs += 1
+            inter_bytes += pbytes
+        if schedule is None:
+            arr = t + ((t + dt) - t)
+            o = ovh + ovh_pb * pbytes
+        else:
+            arr = t + (schedule(pbytes, src_node, dst_node, t) - t)
+            o = cpu_overhead(pbytes)
+        if tracer is not None:
+            _account_trace(tracer, pbytes, src_node, dst_node,
+                           comm._group[rank])
+        total += pbytes
+        t = t + ((t + o) - t)
         value = copy_payload(payloads[dst])
         p = rec.procs[dst]
         if p is not None:
             # Receiver already parked: its completion is computable now.
-            compl = max(rec.entry[dst], arr) + fabric.cpu_overhead(pbytes)
             rec.served += 1
-            sim.schedule_at(compl, p._step, value)
+            sim.schedule_at(max(rec.entry[dst], arr) + o, p._step, value)
         else:
             rec.arrival[dst] = arr
             rec.value[dst] = value
-            rec.nbytes[dst] = pbytes
+            rec.ovh_in[dst] = o
+    if world.track_traffic:
+        world.stats.record_bulk(size - 1, total, inter_msgs, inter_bytes)
     rec.served += 1
     if rec.served == size:
         del world._fast_colls[key]
@@ -548,14 +650,16 @@ class _FusedRec:
     by whichever rank enters last, and every other rank parks exactly
     once.  Used only when no tracer is attached (the traced path keeps
     the reduce→bcast composition so nested spans match the message path).
+    ``wire`` holds an allgather member's own share of its upward message.
     """
 
-    __slots__ = ("entry", "procs", "acc", "remaining")
+    __slots__ = ("entry", "procs", "acc", "wire", "remaining")
 
     def __init__(self, size: int):
         self.entry: list = [None] * size
         self.procs: list = [None] * size
         self.acc: list = [None] * size
+        self.wire: list = [0] * size
         self.remaining = size
 
 
@@ -563,139 +667,99 @@ def _fused_times(comm, rec: _FusedRec, size: int, fold: Callable,
                  finalize: Callable | None):
     """Closed-form completion times/values of reduce(root 0) + bcast(root 0).
 
-    Replays both phases with the exact recurrences of :class:`_UpRec` /
-    :class:`_DownRec` (same fold order, same float round trips), evaluated
-    in one topological pass per phase.  Returns ``(compl, values)`` lists
-    indexed by rank.
+    Replays both phases with the exact recurrences of :func:`_up_cascade`
+    and :func:`_bcast_cascade` (same fold order, same float round trips,
+    same by-reference subtree dicts for allgather), one loop per phase
+    in topological order.  Returns ``(compl, values)`` lists indexed by
+    rank.
     """
     world = comm.world
     fabric = world.fabric
-    tracer = world.tracer
-    if tracer is None and size >= aggregate.AGGREGATE_MIN_SIZE:
-        venv = aggregate.vector_env(world)
-        if venv is not None:
-            return _fused_times_vec(comm, rec, size, fold, finalize, venv)
+    schedule, costs = _pricing(fabric, hop_costs(fabric))
+    intra_lat, intra_bw, inter_lat, inter_bw, ovh, ovh_pb = costs
     cpu_overhead = fabric.cpu_overhead
-    schedule = getattr(fabric, "transfer_schedule", None)
-    transfer_time = fabric.transfer_time
-    track = world.track_traffic
-    stats_record = world.stats.record
+    merge = fold is _merge
     nodes = comm._nodes
-    group = comm._group
-    entry, acc = rec.entry, rec.acc
+    entry, acc, wire = rec.entry, rec.acc, rec.wire
     children_desc = _children_desc_table(size)
-    children_tbl = _children_table(size)
+    parents = _parents_table(size)
     # ---- reduce phase: children (always > parent) fold deepest-first
     arrival = [0.0] * size
-    nbytes_in = [0] * size
+    ovh_in = [0.0] * size
     red_val: list = [None] * size
     red_compl = [0.0] * size
-    # repro: allow[PERF002] -- retained scalar reference path (stateful fabrics)
+    total = inter_msgs = inter_bytes = 0
     for v in range(size - 1, -1, -1):
         t = entry[v]
         a = acc[v]
+        abytes = wire[v]
         for c in children_desc[v]:
-            t = max(t, arrival[c]) + cpu_overhead(nbytes_in[c])
+            x = arrival[c]
+            if x > t:
+                t = x
+            t = t + ovh_in[c]
             a = fold(a, red_val[c])
-        acc[v] = a
+            abytes += wire[c]
         if v == 0:
             red_compl[0] = t
-        else:
-            parent = _tree(v, size)[0]
+            break
+        if not merge:
             abytes = payload_nbytes(a)
-            src_node = nodes[v]
-            dst_node = nodes[parent]
-            if schedule is not None:
-                raw = schedule(abytes, src_node, dst_node, t)
-            else:
-                raw = t + transfer_time(abytes, src_node, dst_node)
-            arrival[v] = t + (raw - t)
-            if track:
-                stats_record(abytes, src_node != dst_node)
-            if tracer is not None:
-                _account_trace(tracer, abytes, src_node, dst_node, group[v])
-            red_val[v] = copy_payload(a)
-            nbytes_in[v] = abytes
-            ovh = cpu_overhead(abytes)
-            red_compl[v] = t + ((t + ovh) - t)
-    # ---- bcast phase: entries are the reduce completions
-    root_payload = acc[0] if finalize is None else finalize(acc[0])
-    nb = payload_nbytes(root_payload)
-    overhead = cpu_overhead(nb)
-    compl = [0.0] * size
-    values: list = [None] * size
-    values[0] = root_payload
-    barr = [0.0] * size
-    # repro: allow[PERF002] -- retained scalar reference path (stateful fabrics)
-    for v in range(size):
-        if v == 0:
-            t = red_compl[0]
+        src_node = nodes[v]
+        dst_node = nodes[parents[v]]
+        if dst_node == src_node:
+            dt = intra_lat + abytes / intra_bw
         else:
-            t = max(red_compl[v], barr[v]) + overhead
-        data = values[v]
+            dt = inter_lat + abytes / inter_bw
+            inter_msgs += 1
+            inter_bytes += abytes
+        if schedule is None:
+            arrival[v] = t + ((t + dt) - t)
+            o = ovh + ovh_pb * abytes
+        else:
+            arrival[v] = t + (schedule(abytes, src_node, dst_node, t) - t)
+            o = cpu_overhead(abytes)
+        total += abytes
+        red_val[v] = a if merge else copy_payload(a)
+        wire[v] = abytes
+        ovh_in[v] = o
+        red_compl[v] = t + ((t + o) - t)
+    # ---- bcast phase: entries are the reduce completions
+    root_payload = a if finalize is None else finalize(a)
+    nb = payload_nbytes(root_payload)
+    overhead, dt_intra, dt_inter = _fixed_hop(fabric, schedule, costs, nb)
+    children_tbl = _children_table(size)
+    barr = [0.0] * size
+    compl = [0.0] * size
+    inter = 0
+    for v in range(size):
+        t = red_compl[v]
+        if v:
+            b = barr[v]
+            if b > t:
+                t = b
+            t = t + overhead
         children = children_tbl[v]
         if children:
             src_node = nodes[v]
-            wr = group[v]
             for c in children:
                 dst_node = nodes[c]
-                if schedule is not None:
-                    raw = schedule(nb, src_node, dst_node, t)
+                if dst_node == src_node:
+                    dt = dt_intra
                 else:
-                    raw = t + transfer_time(nb, src_node, dst_node)
-                barr[c] = t + (raw - t)
-                if track:
-                    stats_record(nb, src_node != dst_node)
-                if tracer is not None:
-                    _account_trace(tracer, nb, src_node, dst_node, wr)
-                values[c] = copy_payload(data)
+                    dt = dt_inter
+                    inter += 1
+                if schedule is None:
+                    barr[c] = t + ((t + dt) - t)
+                else:
+                    barr[c] = t + (schedule(nb, src_node, dst_node, t) - t)
                 t = t + ((t + overhead) - t)
         compl[v] = t
-    return compl, values
-
-
-def _fused_times_vec(comm, rec: _FusedRec, size: int, fold: Callable,
-                     finalize: Callable | None, venv):
-    """Aggregate form of :func:`_fused_times` (stateless fabrics only).
-
-    The value fold is inherently sequential per parent (``fold`` is an
-    arbitrary reduction), so it runs as one O(ranks) Python pass in the
-    exact deepest-subtree-first order of the scalar walk; both phases'
-    completion *times* are then one vectorized per-wave evaluation each
-    (see :mod:`repro.simmpi.aggregate`).  Bit-identical values, times,
-    and traffic totals.
-    """
-    world = comm.world
-    entry, acc = rec.entry, rec.acc
-    children_desc = _children_desc_table(size)
-    red_val: list = [None] * size
-    nbytes_in = np.zeros(size, dtype=np.int64)
-    # repro: allow[PERF002] -- O(ranks) value fold; times are vectorized below
-    for v in range(size - 1, -1, -1):
-        a = acc[v]
-        for c in children_desc[v]:
-            a = fold(a, red_val[c])
-        acc[v] = a
-        if v:
-            red_val[v] = copy_payload(a)
-            nbytes_in[v] = payload_nbytes(a)
-    nodes_v = np.asarray(comm._nodes, dtype=np.intp)
-    entry_v = np.asarray(entry, dtype=float)
-    red_compl, _arrival, inter_msgs, inter_bytes = aggregate.gather_times(
-        venv, size, entry_v, nbytes_in, nodes_v)
-    track = world.track_traffic
-    if track:
-        world.stats.record_bulk(size - 1, int(nbytes_in[1:].sum()),
-                                inter_msgs, inter_bytes)
-    # ---- bcast phase: entries are the reduce completions
-    root_payload = acc[0] if finalize is None else finalize(acc[0])
-    nb = payload_nbytes(root_payload)
-    compl, inter = aggregate.bcast_times(venv, size, red_compl, nb, nodes_v)
-    if track:
-        world.stats.record_bulk(size - 1, nb * (size - 1), inter, nb * inter)
-    values = [root_payload if v == 0 else copy_payload(root_payload)
-              for v in range(size)]
-    return compl.tolist(), values
+    if world.track_traffic:
+        stats = world.stats
+        stats.record_bulk(size - 1, total, inter_msgs, inter_bytes)
+        stats.record_bulk(size - 1, nb * (size - 1), inter, nb * inter)
+    return compl, _bcast_values(root_payload, size, 0)
 
 
 def _fast_fused(comm, payload, fold: Callable, finalize: Callable | None):
@@ -706,9 +770,10 @@ def _fast_fused(comm, payload, fold: Callable, finalize: Callable | None):
     seq = comm._coll_seq + 1
     comm._coll_seq = seq + 1
     size = comm.size
+    merge = fold is _merge
     if size == 1:
-        mine = copy_payload(payload) if fold is not _merge \
-            else {comm.rank: copy_payload(payload)}
+        mine = {comm.rank: copy_payload(payload)} if merge \
+            else copy_payload(payload)
         return copy_payload(mine if finalize is None else finalize(mine))
     v = comm.rank  # both composed phases are rooted at rank 0
     key = (comm.cid, _COLL_TAG_BASE - seq)
@@ -718,14 +783,16 @@ def _fast_fused(comm, payload, fold: Callable, finalize: Callable | None):
         rec = colls[key] = _FusedRec(size)
     now = sim.now
     rec.entry[v] = now
-    rec.acc[v] = copy_payload(payload) if fold is not _merge \
-        else {comm.rank: copy_payload(payload)}
+    if merge:
+        rec.acc[v] = {v: copy_payload(payload)}
+        rec.wire[v] = DEFAULT_OBJECT_BYTES + payload_nbytes(payload)
+    else:
+        rec.acc[v] = copy_payload(payload)
     rec.remaining -= 1
     if rec.remaining:
         return (yield Park(rec.procs, v))
     del world._fast_colls[key]
     compl, values = _fused_times(comm, rec, size, fold, finalize)
-    # repro: allow[PERF002] -- per-rank wake fan-out, one schedule per proc
     for u in range(size):
         p = rec.procs[u]
         if p is not None:

@@ -18,10 +18,11 @@ per-level exchange — as one fused rendezvous: every rank parks exactly
 once and the last entrant replays all stages with the exact
 :mod:`repro.simmpi.fastcoll` recurrences (same fold order, same float
 round trips), so virtual times, traffic counters, and solver values are
-bit-identical to driving the stages one collective at a time.  On a
-stateless fabric each stage is one flat loop over the fabric constants
-(:func:`_gather_stage_flat`, :func:`_bcast_stage_flat`); otherwise the
-stages call the fabric once per hop.
+bit-identical to driving the stages one collective at a time.  Each
+stage is one hop loop (:func:`_gather_stage`, :func:`_bcast_stage`) that
+prices hops exactly as the collectives do: from the fabric's constant
+hop costs when it has them, by fabric calls otherwise (see
+:mod:`repro.simmpi.fastcoll`, "How a hop is priced").
 
 Scope and degradation
 ---------------------
@@ -54,7 +55,6 @@ fault-tolerant IMe.
 from __future__ import annotations
 
 from bisect import insort
-from functools import lru_cache
 from operator import itemgetter
 from typing import Any
 
@@ -65,21 +65,16 @@ from repro.simmpi.datatypes import (
 )
 from repro.simmpi.engine import Park, SleepUntil
 from repro.simmpi.errors import CommMismatchError, SimMPIError
-from repro.memo import register_cache
 from repro.simmpi import aggregate
 from repro.simmpi.fastcoll import (
+    _bcast_values,
     _children_desc_table,
     _children_table,
     _COLL_TAG_BASE,
-    _tree,
+    _fixed_hop,
+    _parents_table,
+    _pricing,
 )
-
-
-@register_cache
-@lru_cache(maxsize=None)
-def _parents_table(size: int) -> tuple[int, ...]:
-    """vrank -> parent vrank in the binomial tree (vrank 0 maps to 0)."""
-    return tuple(_tree(v, size)[0] if v else 0 for v in range(size))
 
 
 class _Flow:
@@ -290,147 +285,26 @@ class _PipeRec:
         self.remaining = size
 
 
-def _stage_env(comm):
-    """Per-pipeline binding of the fabric/accounting callables the stage
-    replays share (one attribute-lookup pass instead of one per stage)."""
-    world = comm.world
-    fabric = world.fabric
-    return (
-        fabric.cpu_overhead,
-        getattr(fabric, "transfer_schedule", None),
-        fabric.transfer_time,
-        world.track_traffic,
-        world.stats.record,
-        comm._nodes,
-    )
-
-
-def _gather_stage(comm, env, entry: list, payloads: list, root: int):
+def _gather_stage(comm, schedule, costs, entry: list, payloads: list,
+                  root: int):
     """Closed-form binomial gather with per-rank entry times ``entry``.
 
-    Exact replay of :func:`repro.simmpi.fastcoll._up_cascade`: same
-    deepest-first child fold, same ``max(entry, arrival) + cpu_overhead``
-    recurrence, same per-hop accounting.  Returns per-rank completion
-    times and results (rank-ordered list on the root, ``None``
-    elsewhere).
-
-    Two value-preserving shortcuts over the cascade's rank→payload dict
-    merges: each subtree's membership is static, so every payload is
-    copied once straight into the final rank-ordered list, and the
-    accumulator's wire size is tracked incrementally (``payload_nbytes``
-    of the dict is a plain sum over members, so the fold adds the
-    child's already-known size) — same values, same isolation from
-    sender buffers, same per-hop message/byte counts.
+    One loop over the hops of :func:`repro.simmpi.fastcoll._up_cascade`
+    (same deepest-first child fold, same ``max(entry, arrival) +
+    cpu_overhead`` recurrence, same float round trips, same pricing
+    branch — ``schedule``/``costs`` come from
+    :func:`repro.simmpi.fastcoll._pricing`), over plain lists rotated to
+    the root (index = virtual rank).  ``if a > t: t = a`` is builtin
+    ``max(t, a)`` spelled without the call.  Every payload is copied
+    once, straight into the root's rank-ordered list; the subtree wire
+    sizes accumulate inline; the traffic is booked once.  Returns
+    per-rank completion times and results (the list on the root,
+    ``None`` elsewhere).
     """
     size = comm.size
-    cpu_overhead, schedule, transfer_time, track, stats_record, nodes = env
-    children_desc = _children_desc_table(size)
-    parents = _parents_table(size)
-    arrival = [0.0] * size
-    nbytes_in = [0] * size
-    compl = [0.0] * size
-    out: list = [None] * size
-    results: list = [None] * size
-    # Virtual ranks descending: every child (vrank > parent) folds first.
-    # repro: allow[PERF002] -- retained scalar reference path (stateful fabrics)
-    for v in range(size - 1, -1, -1):
-        r = (v + root) % size
-        t = entry[r]
-        out[r] = copy_payload(payloads[r])
-        abytes = DEFAULT_OBJECT_BYTES + payload_nbytes(payloads[r])
-        for c in children_desc[v]:
-            t = max(t, arrival[c]) + cpu_overhead(nbytes_in[c])
-            abytes += nbytes_in[c]
-        if v == 0:
-            compl[r] = t
-            results[r] = out
-            continue
-        pr = (parents[v] + root) % size
-        src_node = nodes[r]
-        dst_node = nodes[pr]
-        if schedule is not None:
-            raw = schedule(abytes, src_node, dst_node, t)
-        else:
-            raw = t + transfer_time(abytes, src_node, dst_node)
-        arrival[v] = t + (raw - t)
-        if track:
-            stats_record(abytes, src_node != dst_node)
-        nbytes_in[v] = abytes
-        ovh = cpu_overhead(abytes)
-        compl[r] = t + ((t + ovh) - t)
-    return compl, results
-
-
-def _bcast_stage(comm, env, entry: list, payload: Any, root: int,
-                 nbytes: int | None = None):
-    """Closed-form binomial broadcast with per-rank entry times ``entry``.
-
-    Exact replay of :func:`repro.simmpi.fastcoll._bcast_cascade`: the
-    root sends eagerly down the tree, a non-root forwards at
-    ``max(entry, arrival) + cpu_overhead``.  The root's result is the
-    payload object itself (no copy), every other rank's a per-hop copy —
-    the message-level ownership semantics.  ``nbytes`` overrides the
-    modeled wire size (skeleton programs send placeholder payloads).
-    """
-    size = comm.size
-    cpu_overhead, schedule, transfer_time, track, stats_record, nodes = env
-    nb = payload_nbytes(payload) if nbytes is None else nbytes
-    overhead = cpu_overhead(nb)
-    children_tbl = _children_table(size)
-    barr = [0.0] * size
-    vval: list = [None] * size
-    vval[0] = payload
-    compl = [0.0] * size
-    results: list = [None] * size
-    # Virtual ranks ascending: every parent (vrank < child) sends first.
-    # repro: allow[PERF002] -- retained scalar reference path (stateful fabrics)
-    for v in range(size):
-        r = (v + root) % size
-        if v == 0:
-            t = entry[r]
-        else:
-            t = max(entry[r], barr[v]) + overhead
-        data = vval[v]
-        children = children_tbl[v]
-        if children:
-            src_node = nodes[r]
-            for c in children:
-                dst_node = nodes[(c + root) % size]
-                if schedule is not None:
-                    raw = schedule(nb, src_node, dst_node, t)
-                else:
-                    raw = t + transfer_time(nb, src_node, dst_node)
-                barr[c] = t + (raw - t)
-                if track:
-                    stats_record(nb, src_node != dst_node)
-                vval[c] = copy_payload(data)
-                t = t + ((t + overhead) - t)
-        compl[r] = t
-        results[r] = data
-    return compl, results
-
-
-def _gather_stage_flat(comm, venv, entry: list, payloads: list, root: int):
-    """Stateless-fabric form of :func:`_gather_stage`: one flat loop.
-
-    The fabric is a pure function of ``(nbytes, src_node, dst_node)``
-    (see :func:`repro.simmpi.aggregate.vector_env`), so its constants
-    are read once and every hop inlines ``cpu_overhead``/``transfer_time``
-    as the same float expressions the fabric evaluates — including the
-    ``t + ((t + dt) - t)`` round trips — over plain lists rotated to the
-    root (index = virtual rank).  ``if a > t: t = a`` is builtin
-    ``max(t, a)`` spelled without the call.  Wire sizes accumulate
-    inline and the traffic is recorded once per stage (order-free
-    integer sums), so times, results and counters are bit-identical to
-    the fabric-call walk.
-    """
-    size = comm.size
-    intra_lat = venv.intra_lat
-    intra_bw = venv.intra_bw
-    inter_lat = venv.inter_lat
-    inter_bw = venv.inter_bw
-    ovh = venv.ovh
-    ovh_pb = venv.ovh_pb
+    world = comm.world
+    intra_lat, intra_bw, inter_lat, inter_bw, ovh, ovh_pb = costs
+    cpu_overhead = world.fabric.cpu_overhead
     nodes = comm._nodes
     nodes_v = nodes[root:] + nodes[:root]
     entry_v = entry[root:] + entry[:root]
@@ -444,7 +318,6 @@ def _gather_stage_flat(comm, venv, entry: list, payloads: list, root: int):
     compl_v = [0.0] * size
     inter_msgs = inter_bytes = 0
     # Virtual ranks descending: every child (vrank > parent) folds first.
-    # repro: allow[PERF002] -- measured faster than the numpy waves up to 576 ranks (docs/performance.md, per-stage table)
     for v in range(size - 1, 0, -1):
         t = entry_v[v]
         abytes = DEFAULT_OBJECT_BYTES + pbytes_v[v]
@@ -454,15 +327,21 @@ def _gather_stage_flat(comm, venv, entry: list, payloads: list, root: int):
                 t = a
             t = t + ovh_in[c]
             abytes += wire[c]
-        if nodes_v[v] == nodes_v[parents[v]]:
+        src_node = nodes_v[v]
+        dst_node = nodes_v[parents[v]]
+        if dst_node == src_node:
             dt = intra_lat + abytes / intra_bw
         else:
             dt = inter_lat + abytes / inter_bw
             inter_msgs += 1
             inter_bytes += abytes
-        arrival[v] = t + ((t + dt) - t)
+        if schedule is None:
+            arrival[v] = t + ((t + dt) - t)
+            o = ovh + ovh_pb * abytes
+        else:
+            arrival[v] = t + (schedule(abytes, src_node, dst_node, t) - t)
+            o = cpu_overhead(abytes)
         wire[v] = abytes
-        o = ovh + ovh_pb * abytes
         ovh_in[v] = o
         compl_v[v] = t + ((t + o) - t)
     t = entry_v[0]
@@ -472,7 +351,6 @@ def _gather_stage_flat(comm, venv, entry: list, payloads: list, root: int):
             t = a
         t = t + ovh_in[c]
     compl_v[0] = t
-    world = comm.world
     if world.track_traffic:
         world.stats.record_bulk(size - 1, sum(wire), inter_msgs, inter_bytes)
     results: list = [None] * size
@@ -481,14 +359,22 @@ def _gather_stage_flat(comm, venv, entry: list, payloads: list, root: int):
     return compl_v[cut:] + compl_v[:cut], results
 
 
-def _bcast_stage_flat(comm, venv, entry: list, payload: Any, root: int,
-                      nb: int):
-    """Stateless-fabric form of :func:`_bcast_stage` (same contract as
-    :func:`_gather_stage_flat`)."""
+def _bcast_stage(comm, schedule, costs, entry: list, payload: Any, root: int,
+                 nb: int):
+    """Closed-form binomial broadcast with per-rank entry times ``entry``.
+
+    One loop over the hops of
+    :func:`repro.simmpi.fastcoll._bcast_cascade` (same contract as
+    :func:`_gather_stage`): the root sends eagerly down the tree, a
+    non-root forwards at ``max(entry, arrival) + cpu_overhead``.  ``nb``
+    is the modeled wire size (skeleton programs send placeholder
+    payloads).  The root's result is the payload object itself, every
+    other rank's a copy — the message-level ownership semantics.
+    """
     size = comm.size
-    overhead = venv.ovh + venv.ovh_pb * nb
-    dt_intra = venv.intra_lat + nb / venv.intra_bw
-    dt_inter = venv.inter_lat + nb / venv.inter_bw
+    world = comm.world
+    overhead, dt_intra, dt_inter = _fixed_hop(world.fabric, schedule, costs,
+                                              nb)
     nodes = comm._nodes
     nodes_v = nodes[root:] + nodes[:root]
     entry_v = entry[root:] + entry[:root]
@@ -497,7 +383,6 @@ def _bcast_stage_flat(comm, venv, entry: list, payload: Any, root: int,
     compl_v = [0.0] * size
     inter = 0
     # Virtual ranks ascending: every parent (vrank < child) sends first.
-    # repro: allow[PERF002] -- measured faster than the numpy waves at every size up to 1296 ranks (docs/performance.md, per-stage table)
     for v in range(size):
         t = entry_v[v]
         if v:
@@ -509,25 +394,22 @@ def _bcast_stage_flat(comm, venv, entry: list, payload: Any, root: int,
         if children:
             src_node = nodes_v[v]
             for c in children:
-                if nodes_v[c] == src_node:
+                dst_node = nodes_v[c]
+                if dst_node == src_node:
                     dt = dt_intra
                 else:
                     dt = dt_inter
                     inter += 1
-                barr[c] = t + ((t + dt) - t)
+                if schedule is None:
+                    barr[c] = t + ((t + dt) - t)
+                else:
+                    barr[c] = t + (schedule(nb, src_node, dst_node, t) - t)
                 t = t + ((t + overhead) - t)
         compl_v[v] = t
-    world = comm.world
     if world.track_traffic:
         world.stats.record_bulk(size - 1, nb * (size - 1), inter, nb * inter)
-    if copy_payload(payload) is payload:
-        # Immutable payloads pass through copy-on-send unchanged.
-        results = [payload] * size
-    else:
-        results = [payload if r == root else copy_payload(payload)
-                   for r in range(size)]
     cut = size - root
-    return compl_v[cut:] + compl_v[:cut], results
+    return compl_v[cut:] + compl_v[:cut], _bcast_values(payload, size, root)
 
 
 #: a pipeline stage's ``(kind, root)``, which every rank must agree on
@@ -538,14 +420,12 @@ def _pipe_times(comm, rec: _PipeRec, size: int):
     """Replay every stage of a fused pipeline; returns per-rank
     completion times and per-rank stage-result lists.
 
-    With a stateless fabric and ``size >= aggregate.AGGREGATE_MIN_SIZE``
-    each stage is one flat loop over the fabric constants
-    (:func:`_gather_stage_flat`, :func:`_bcast_stage_flat`); otherwise
-    the fabric-call walk runs (bit-identical either way).
+    Each stage is one hop loop, priced from the fabric's constant hop
+    costs when it has them (:func:`repro.simmpi.aggregate.vector_env`)
+    and by fabric calls otherwise.
     """
     steps0 = rec.steps[0]
     shape0 = list(map(_stage_shape, steps0))
-    # repro: allow[PERF002] -- O(ranks) shape validation, no numeric work
     for r in range(1, size):
         shape = list(map(_stage_shape, rec.steps[r]))
         if shape != shape0:
@@ -553,9 +433,8 @@ def _pipe_times(comm, rec: _PipeRec, size: int):
                 f"pipeline stage shapes differ between ranks 0 and {r}: "
                 f"{shape0} vs {shape}"
             )
-    env = _stage_env(comm)
-    venv = (aggregate.vector_env(comm.world)
-            if size >= aggregate.AGGREGATE_MIN_SIZE else None)
+    world = comm.world
+    schedule, costs = _pricing(world.fabric, aggregate.vector_env(world))
     t = list(rec.entry)
     stage_results: list[list] = []
     for si, step0 in enumerate(steps0):
@@ -563,21 +442,14 @@ def _pipe_times(comm, rec: _PipeRec, size: int):
         root = step0[1]
         if kind == "gather":
             payloads = [steps[si][2] for steps in rec.steps]
-            if venv is not None:
-                t, res = _gather_stage_flat(comm, venv, t, payloads, root)
-            else:
-                t, res = _gather_stage(comm, env, t, payloads, root)
+            t, res = _gather_stage(comm, schedule, costs, t, payloads, root)
         elif kind == "bcast":
             producer = rec.steps[root][si][2]
             prev = stage_results[si - 1][root] if si else None
             payload = producer(prev) if producer is not None else None
             nbytes = step0[3] if len(step0) > 3 else None
-            if venv is not None:
-                nb = payload_nbytes(payload) if nbytes is None else nbytes
-                t, res = _bcast_stage_flat(comm, venv, t, payload, root, nb)
-            else:
-                t, res = _bcast_stage(comm, env, t, payload, root,
-                                      nbytes=nbytes)
+            nb = payload_nbytes(payload) if nbytes is None else nbytes
+            t, res = _bcast_stage(comm, schedule, costs, t, payload, root, nb)
         else:
             raise SimMPIError(f"unknown pipeline stage kind {kind!r}")
         stage_results.append(res)
@@ -621,7 +493,6 @@ def fast_pipeline(comm, steps):
         return (yield Park(rec.procs, rank))
     del colls[key]
     compl, results = _pipe_times(comm, rec, size)
-    # repro: allow[PERF002] -- per-rank wake fan-out, one schedule per proc
     for u in range(size):
         p = rec.procs[u]
         if p is not None:

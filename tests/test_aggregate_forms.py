@@ -1,56 +1,69 @@
-"""Three-way equivalence of the stateless-fabric lanes of the fast engines.
+"""Message path vs hop loop: the two implementations of every collective.
 
-The fast engines (``repro/simmpi/fastcoll.py``, ``fastp2p.py``) evaluate
-collective and pipeline timing in one of two ways: a scalar per-edge
-walk that calls the fabric per hop, or — when the fabric is uniform per
-rank pair and the world is large enough
-(``aggregate.AGGREGATE_MIN_SIZE``) — a stateless lane that reads the
-fabric constants once.  For fused allreduce/allgather that lane is the
-numpy wave forms of ``aggregate.py``; for a fused pipeline (IMe's
-per-level gather→bcast→bcast) it is a flat Python loop per stage.
-Every lane must be bit-identical to the others and to the message-level
-reference: same results, same virtual times, same traffic, same energy.
+The fast engines (``repro/simmpi/fastcoll.py``, ``fastp2p.py``) run each
+collective and each fused-pipeline stage as one loop over its modeled
+hops, and the loop's only branch is how it prices a hop: from the
+fabric's constant hop costs (``Fabric.hop_costs()``), or by calling the
+fabric.  Both branches must be bit-identical to each other and to the
+message-level reference: same results, same virtual times, same traffic,
+same energy.
 
-These tests force each path explicitly by pinning
-``AGGREGATE_MIN_SIZE`` (2 → stateless lane even for tiny worlds; a huge
-value → scalar walk even for big ones) and compare all three legs
-across the solver grid, including ft-IMe mid-solve recovery and
-wildcard/probe degradation.  The pipeline stage loops are also checked
-one stage at a time against the fabric-call walk.
+Every case therefore runs three legs: the hop loop on a constant-cost
+fabric (constants branch), the hop loop on the same fabric wrapped in
+:class:`HiddenCosts`, which withholds its constants (fabric-call branch),
+and the message path.  The cases cover the solver grid, ft-IMe
+mid-solve recovery, wildcard/probe degradation, broadcasts with shuffled
+entry times, gathers whose senders reuse their buffers, a fabric swapped
+for a NIC-queueing one after the Job is built, and each pipeline stage
+on its own.  The numpy wave forms of ``aggregate.py`` have no engine
+caller; the stage tests check them against the hop loops.
 """
 
-import contextlib
+import random
 
 import numpy as np
 import pytest
 
-from repro.cluster.machine import NetworkParams, small_test_machine
+from repro.cluster.machine import (
+    NetworkParams,
+    marconi_a3,
+    small_test_machine,
+)
 from repro.cluster.network import ClusterFabric
-from repro.cluster.placement import LoadShape, place_ranks
+from repro.cluster.placement import LoadShape, Placement, layout_for, \
+    place_ranks
 from repro.runtime.job import Job
-from repro.simmpi import aggregate
+from repro.simmpi import aggregate, fastcoll
 from repro.simmpi.comm import ANY_SOURCE, World
 from repro.simmpi.datatypes import DEFAULT_OBJECT_BYTES, payload_nbytes
-from repro.simmpi.engine import Simulator
-from repro.simmpi.fabric import UniformFabric
+from repro.simmpi.engine import Delay, Simulator
+from repro.simmpi.fabric import UniformFabric, hop_costs
+from repro.simmpi.fastcoll import _pricing
+from repro.simmpi.fastp2p import _bcast_stage, _gather_stage
 from repro.solvers.ime.ft_parallel import FtOptions, ime_ft_parallel_program
 from repro.solvers.ime.parallel import ime_parallel_program
 from repro.solvers.scalapack.pdgesv import ScalapackOptions, pdgesv_program
 from repro.workloads.generator import generate_system
 
 
-@contextlib.contextmanager
-def aggregate_min_size(value):
-    saved = aggregate.AGGREGATE_MIN_SIZE
-    aggregate.AGGREGATE_MIN_SIZE = value
-    try:
-        yield
-    finally:
-        aggregate.AGGREGATE_MIN_SIZE = saved
+class HiddenCosts:
+    """A constant-cost fabric that withholds its constants.
 
+    It prices every hop exactly as the wrapped fabric does but has no
+    ``hop_costs``, so the hop loops take their fabric-call branch;
+    ``calls`` counts the transfers priced through it.
+    """
 
-FORCE_VECTOR = 2          # vectorize even two-rank worlds
-FORCE_SCALAR = 10 ** 9    # never vectorize
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def cpu_overhead(self, nbytes):
+        return self.inner.cpu_overhead(nbytes)
+
+    def transfer_time(self, nbytes, src_node, dst_node):
+        self.calls += 1
+        return self.inner.transfer_time(nbytes, src_node, dst_node)
 
 
 def _assert_same(a, b):
@@ -64,7 +77,12 @@ def _assert_same(a, b):
         assert a == b
 
 
-def run_job(program, ranks, fast):
+def _hide(world):
+    world.fabric = HiddenCosts(world.fabric)
+    return world.fabric
+
+
+def run_job(program, ranks, fast, hide=False):
     if ranks % 2:
         machine = small_test_machine(cores_per_socket=ranks)
         placement = place_ranks(ranks, LoadShape.HALF_ONE_SOCKET, machine)
@@ -74,23 +92,26 @@ def run_job(program, ranks, fast):
     job = Job(machine, placement)
     job.sim.fast_collectives = fast
     job.sim.fast_p2p = fast
+    if hide:
+        hidden = _hide(job.world)
+        result = job.run(program)
+        assert hidden.calls > 0
+        return result
     return job.run(program)
 
 
 def three_way(program, ranks):
-    """Vector, scalar-fast, and message legs must all be bit-identical."""
-    with aggregate_min_size(FORCE_VECTOR):
-        vec = run_job(program, ranks, True)
-    with aggregate_min_size(FORCE_SCALAR):
-        scal = run_job(program, ranks, True)
+    """Constants, fabric-call and message legs must be bit-identical."""
+    const = run_job(program, ranks, True)
+    calls = run_job(program, ranks, True, hide=True)
     msg = run_job(program, ranks, False)
-    for name, other in (("scalar", scal), ("message", msg)):
-        assert vec.duration == other.duration, name
-        assert vec.node_energy_j == other.node_energy_j, name
-        assert vec.traffic == other.traffic, name
-        for a, b in zip(vec.rank_results, other.rank_results):
+    for name, other in (("fabric-call", calls), ("message", msg)):
+        assert const.duration == other.duration, name
+        assert const.node_energy_j == other.node_energy_j, name
+        assert const.traffic == other.traffic, name
+        for a, b in zip(const.rank_results, other.rank_results):
             _assert_same(a, b)
-    return vec
+    return const
 
 
 # ------------------------------------------------------------ solver grid
@@ -141,8 +162,8 @@ def test_ft_ime_fault_free_three_way():
 
 def test_ft_ime_mid_solve_recovery_three_way():
     """The shrink/recovery path rebuilds its gather permutation on the
-    surviving communicator — all three timing legs must stay identical
-    through the failure, the reconstruction, and the remainder."""
+    surviving communicator — all three legs must stay identical through
+    the failure, the reconstruction, and the remainder."""
     system = generate_system(20, seed=4)
     options = FtOptions(n_checksums=8, fail_rank=2, fail_level=10)
     result = three_way(_ft_program(system, options), 4)
@@ -153,32 +174,31 @@ def test_ft_ime_mid_solve_recovery_three_way():
     assert result.rank_results[2] == "failed"
 
 
-# ----------------------------------------- wildcard / probe degradation
-def run_world_three_way(size, program):
+# ------------------------------------------------- world-level programs
+def run_world_three_way(size, program, node_of=lambda r: r % 2):
     """World-level three-way comparison (no energy context needed)."""
 
-    def run(fast):
+    def run(fast, hide=False):
         sim = Simulator()
         sim.fast_collectives = fast
         sim.fast_p2p = fast
-        world = World(sim, size, fabric=UniformFabric(),
-                      node_of=lambda r: r % 2)
+        world = World(sim, size, fabric=UniformFabric(), node_of=node_of)
+        if hide:
+            _hide(world)
         procs = [sim.spawn(program(comm), name=f"rank{comm.rank}")
                  for comm in world.comm_world()]
         sim.run()
         return [p.result for p in procs], sim.now, world.stats.snapshot()
 
-    with aggregate_min_size(FORCE_VECTOR):
-        rv, tv, sv = run(True)
-    with aggregate_min_size(FORCE_SCALAR):
-        rs, ts, ss = run(True)
+    rc, tc, sc = run(True)
+    rf, tf, sf = run(True, hide=True)
     rm, tm, sm = run(False)
-    assert tv == ts == tm
-    assert sv == ss == sm
-    for a, b, c in zip(rv, rs, rm):
+    assert tc == tf == tm
+    assert sc == sf == sm
+    for a, b, c in zip(rc, rf, rm):
         _assert_same(a, b)
         _assert_same(a, c)
-    return rv
+    return rc
 
 
 @pytest.mark.parametrize("size", [4, 6])
@@ -229,6 +249,139 @@ def test_probe_degrades_identically(size):
     assert results[0] == (21.0, [float(r) for r in range(size)])
 
 
+CASCADE_SIZES = [2, 3, 12, 33, 144]
+# Blocks of 7 leave a partial tail node at every size above; the
+# round-robin map makes most hops inter-node.
+NODE_MAPS = {
+    "block7": lambda r: r // 7,
+    "roundrobin3": lambda r: r % 3,
+}
+
+
+@pytest.mark.parametrize("node_map", sorted(NODE_MAPS))
+@pytest.mark.parametrize("size", CASCADE_SIZES)
+def test_bcast_cascade_with_shuffled_entries(size, node_map, monkeypatch):
+    """Ranks enter each broadcast at shuffled times on the scale of a
+    hop, so children park before their parent sends, leaves arrive
+    after their message did, and inner ranks arriving late run their
+    own cascade; every branch must agree across the three legs."""
+    late_inner = []
+    cascade = fastcoll._bcast_cascade
+
+    def spy(comm, rec, key, root, size_, v, data, t_ready):
+        if v:
+            late_inner.append(v)
+        return cascade(comm, rec, key, root, size_, v, data, t_ready)
+
+    monkeypatch.setattr(fastcoll, "_bcast_cascade", spy)
+    delays = [3e-7 * k for k in range(size)]
+    random.Random(size).shuffle(delays)
+    roots = sorted({0, size // 2, size - 1})
+
+    def program(comm):
+        out = []
+        for i, root in enumerate(roots):
+            yield Delay(delays[(comm.rank + i) % size])
+            data = np.arange(4.0) + i if comm.rank == root else None
+            got = yield from comm.bcast(data, root=root)
+            out.append(got)
+        return out
+
+    results = run_world_three_way(size, program, NODE_MAPS[node_map])
+    for out in results:
+        _assert_same(out, [np.arange(4.0) + i for i in range(len(roots))])
+    if size >= 12:
+        assert late_inner
+
+
+@pytest.mark.parametrize("size", [3, 12, 33])
+def test_gather_root_list_survives_sender_buffer_reuse(size):
+    """A gather's subtree dicts travel by reference, not re-copied per
+    hop; the root's list must still hold each sender's value at entry
+    after every sender overwrites its buffer."""
+
+    def program(comm):
+        buf = np.full(3, float(comm.rank))
+        got = yield from comm.gather(buf, root=size // 2)
+        buf[:] = -1.0
+        yield Delay(1e-5)
+        buf[:] = -2.0
+        also = yield from comm.allgather(buf)
+        buf[:] = -3.0
+        yield from comm.barrier()
+        return got, also
+
+    results = run_world_three_way(size, program)
+    got, also = results[size // 2]
+    _assert_same(got, [np.full(3, float(r)) for r in range(size)])
+    _assert_same(also, [np.full(3, -2.0)] * size)
+
+
+def test_swapped_nic_fabric_takes_fabric_call_branch():
+    """A fabric swapped in after the Job is built is priced as it is:
+    a NIC-queueing fabric has no constant hop costs, so every modeled
+    hop calls it, and the run is deterministic."""
+
+    class CountingNic(ClusterFabric):
+        def __init__(self, params):
+            super().__init__(params, serialize_injection=True)
+            self.calls = 0
+
+        def transfer_schedule(self, nbytes, src_node, dst_node, now):
+            self.calls += 1
+            return super().transfer_schedule(nbytes, src_node, dst_node,
+                                             now)
+
+    machine = small_test_machine(cores_per_socket=4)
+    placement = place_ranks(16, LoadShape.FULL, machine)  # 2 nodes
+
+    def program(ctx, comm):
+        data = np.ones(20_000) if comm.rank == 0 else None
+        data = yield from comm.bcast(data, root=0)
+        total = yield from comm.allreduce(float(data.sum()))
+        yield from comm.gather(data[:100], root=3)
+        return total
+
+    runs = []
+    for _ in range(2):
+        job = Job(machine, placement)
+        job.world.fabric = fabric = CountingNic(machine.network)
+        assert hop_costs(fabric) is None
+        result = job.run(program)
+        assert fabric.calls == result.traffic["messages"] > 0
+        runs.append((result.duration, result.traffic))
+    assert runs[0] == runs[1]
+
+
+def test_constants_leg_makes_no_fabric_calls():
+    """On a constant-cost fabric the collectives price every hop from
+    the constants: the fabric is never asked for a transfer."""
+
+    class NoTransfers(UniformFabric):
+        def transfer_time(self, nbytes, src_node, dst_node):
+            raise AssertionError("constants leg called the fabric")
+
+    def program(comm):
+        data = yield from comm.bcast(np.arange(8.0), root=1)
+        got = yield from comm.gather(comm.rank, root=0)
+        red = yield from comm.reduce(float(comm.rank), root=2)
+        total = yield from comm.allreduce(data.sum())
+        mine = yield from comm.scatter(
+            list(range(comm.size)) if comm.rank == 0 else None, root=0)
+        yield from comm.barrier()
+        return got, red, total, mine
+
+    sim = Simulator()
+    sim.fast_collectives = True
+    world = World(sim, 12, fabric=NoTransfers(),
+                  node_of=lambda r: r // 5)
+    procs = [sim.spawn(program(comm)) for comm in world.comm_world()]
+    sim.run()
+    assert procs[0].result[0] == list(range(12))
+    assert procs[2].result[1] == float(sum(range(12)))
+    assert world.stats.messages > 0
+
+
 # ----------------------------------------- paper-scale rank counts
 @pytest.mark.parametrize("size", [1296, 3188])
 def test_wave_tables_enumeration_is_bounded(size):
@@ -251,74 +404,48 @@ def test_wave_tables_enumeration_is_bounded(size):
         assert depth[int(parent[v])] < depth[v]
 
 
+def _skeleton_job(algo, n, ranks, hide):
+    from repro.obs.symbolic import EXACT_SKELETON_PROGRAMS, SymbolicOptions
+
+    machine = marconi_a3()
+    placement = Placement(
+        layout_for(ranks, LoadShape.FULL, machine, allow_tail=True), machine)
+    job = Job(machine, placement)
+    job.sim.fast_collectives = job.sim.fast_p2p = True
+    if hide:
+        _hide(job.world)
+    return job.run(EXACT_SKELETON_PROGRAMS[algo], n=n,
+                   options=SymbolicOptions(nb=8))
+
+
 @pytest.mark.parametrize("algo,ranks", [
     ("ime", 1296), ("scalapack", 1296),
     ("ime", 3188), ("scalapack", 3188),
 ])
 def test_exact_skeleton_vector_scalar_identity_paper_ranks(algo, ranks):
-    """Vector ≡ scalar bit-identity at the paper's rank counts (p=3188
+    """Constants ≡ fabric-call branch at the paper's rank counts (p=3188
     includes the partial tail node), using the exact skeletons at a
     quick matrix size — the structure is what the rank count stresses,
     and it is independent of n."""
-    from repro.obs.symbolic import run_skeleton_job
-
-    with aggregate_min_size(FORCE_VECTOR):
-        vec = run_skeleton_job(algo, 36, ranks)
-    with aggregate_min_size(FORCE_SCALAR):
-        scal = run_skeleton_job(algo, 36, ranks)
-    assert vec.duration == scal.duration
-    assert vec.traffic == scal.traffic
-    assert vec.node_energy_j == scal.node_energy_j
-
-
-# ------------------------------------------------------------ gate sanity
-def test_vector_leg_actually_vectorizes(monkeypatch):
-    """Guard against the vector leg silently falling back to scalar:
-    count vector_env() hits during a forced-vector solver run."""
-    hits = []
-    real = aggregate.vector_env
-
-    def spy(world):
-        venv = real(world)
-        if venv is not None:
-            hits.append(venv)
-        return venv
-
-    monkeypatch.setattr(aggregate, "vector_env", spy)
-    system = generate_system(24, seed=5)
-
-    def program(ctx, comm):
-        sys_arg = system if comm.rank == 0 else None
-        return (yield from ime_parallel_program(ctx, comm, system=sys_arg))
-
-    with aggregate_min_size(FORCE_VECTOR):
-        run_job(program, 4, True)
-    assert hits, "forced-vector run never reached the aggregate forms"
-
-
-def test_scalar_gate_respected(monkeypatch):
-    """Below AGGREGATE_MIN_SIZE the closed forms must not be consulted."""
-    calls = []
-    monkeypatch.setattr(aggregate, "vector_env",
-                        lambda world: calls.append(world) or None)
-    system = generate_system(24, seed=5)
-
-    def program(ctx, comm):
-        sys_arg = system if comm.rank == 0 else None
-        return (yield from ime_parallel_program(ctx, comm, system=sys_arg))
-
-    with aggregate_min_size(FORCE_SCALAR):
-        run_job(program, 4, True)
-    assert not calls
+    const = _skeleton_job(algo, 36, ranks, hide=False)
+    calls = _skeleton_job(algo, 36, ranks, hide=True)
+    assert const.duration == calls.duration
+    assert const.traffic == calls.traffic
+    assert const.node_energy_j == calls.node_energy_j
 
 
 # ------------------------------------- pipeline stage loops, stage by stage
-def _stage_comm(size, node_of):
-    """Rank 0's COMM_WORLD handle on a fresh jitter-free cluster fabric."""
+def _stage_comm(size, node_of, hide=False):
+    """Rank 0's COMM_WORLD handle on a fresh jitter-free cluster fabric,
+    with the ``(schedule, costs)`` pricing its hop loops use."""
     world = World(Simulator(), size,
                   fabric=ClusterFabric(NetworkParams(), jitter_frac=0.0),
                   node_of=node_of)
-    return world.comm_world()[0]
+    if hide:
+        _hide(world)
+    pricing = _pricing(world.fabric, aggregate.vector_env(world))
+    assert (pricing[0] is None) is not hide
+    return world.comm_world()[0], pricing
 
 
 def _ragged_payload(rng, r):
@@ -336,36 +463,33 @@ def _stage_roots(size):
     return sorted({0, 1 % size, size // 2, size - 1})
 
 
+def _rotate(values, root):
+    """Rank-indexed list -> virtual-rank-indexed array (root first)."""
+    return np.asarray(values[root:] + values[:root])
+
+
 STAGE_SIZES = [2, 3, 12, 33, 144, 145, 1296]
-# Blocks of 7 leave a partial tail node at every size above; the
-# round-robin map makes most hops inter-node.
-STAGE_NODE_MAPS = {
-    "block7": lambda r: r // 7,
-    "roundrobin3": lambda r: r % 3,
-}
 
 
-@pytest.mark.parametrize("node_map", sorted(STAGE_NODE_MAPS))
+@pytest.mark.parametrize("node_map", sorted(NODE_MAPS))
 @pytest.mark.parametrize("size", STAGE_SIZES)
 def test_gather_stage_flat_matches_fabric_walk(size, node_map):
-    """The stateless-fabric gather loop equals the fabric-call walk
+    """The gather stage's constants branch equals its fabric-call branch
     bit for bit: completion times, the root's rank-ordered result, and
-    the traffic counters — also against the aggregate wire sizes."""
-    from repro.simmpi.fastp2p import (
-        _gather_stage, _gather_stage_flat, _stage_env)
-
+    the traffic counters — and both equal the numpy wave forms'
+    wire sizes and completion times."""
     rng = np.random.default_rng(size)
-    node_of = STAGE_NODE_MAPS[node_map]
-    ref = _stage_comm(size, node_of)
-    flat = _stage_comm(size, node_of)
+    node_of = NODE_MAPS[node_map]
+    ref, ref_pricing = _stage_comm(size, node_of, hide=True)
+    flat, pricing = _stage_comm(size, node_of)
     for root in _stage_roots(size):
         entry = (rng.random(size) * 1e-5).tolist()
         payloads = [_ragged_payload(rng, r) for r in range(size)]
         before = flat.world.stats.bytes
-        t_ref, res_ref = _gather_stage(ref, _stage_env(ref), entry,
-                                       payloads, root)
-        t_flat, res_flat = _gather_stage_flat(
-            flat, aggregate.vector_env(flat.world), entry, payloads, root)
+        t_ref, res_ref = _gather_stage(ref, *ref_pricing, entry, payloads,
+                                       root)
+        t_flat, res_flat = _gather_stage(flat, *pricing, entry, payloads,
+                                         root)
         assert t_flat == t_ref
         assert all(res is None for r, res in enumerate(res_flat)
                    if r != root)
@@ -376,41 +500,45 @@ def test_gather_stage_flat_matches_fabric_walk(size, node_map):
                        if isinstance(sent, np.ndarray))
         snap = flat.world.stats.snapshot()
         assert snap == ref.world.stats.snapshot()
-        vr = [(v + root) % size for v in range(size)]
         wire = aggregate.gather_sizes(
-            size, [payload_nbytes(payloads[r]) for r in vr],
+            size, _rotate([payload_nbytes(p) for p in payloads], root),
             DEFAULT_OBJECT_BYTES)
         assert snap["bytes"] - before == int(wire[1:].sum())
+        compl, _arr, _msgs, _bytes = aggregate.gather_times(
+            pricing[1], size, _rotate(entry, root), wire,
+            _rotate(flat._nodes, root))
+        assert compl.tolist() == _rotate(t_flat, root).tolist()
 
 
-@pytest.mark.parametrize("node_map", sorted(STAGE_NODE_MAPS))
+@pytest.mark.parametrize("node_map", sorted(NODE_MAPS))
 @pytest.mark.parametrize("size", STAGE_SIZES)
 def test_bcast_stage_flat_matches_fabric_walk(size, node_map):
-    """The stateless-fabric bcast loop equals the fabric-call walk bit
-    for bit, with the payload's own size and with a wire-size override."""
-    from repro.simmpi.fastp2p import (
-        _bcast_stage, _bcast_stage_flat, _stage_env)
-
+    """The bcast stage's constants branch equals its fabric-call branch
+    bit for bit, with the payload's own size and with a wire-size
+    override — and both equal the numpy wave form's completion times."""
     rng = np.random.default_rng(size + 1)
-    node_of = STAGE_NODE_MAPS[node_map]
-    ref = _stage_comm(size, node_of)
-    flat = _stage_comm(size, node_of)
+    node_of = NODE_MAPS[node_map]
+    ref, ref_pricing = _stage_comm(size, node_of, hide=True)
+    flat, pricing = _stage_comm(size, node_of)
     for root in _stage_roots(size):
         for nbytes in (None, 8 * int(rng.integers(1, 5000))):
             entry = (rng.random(size) * 1e-5).tolist()
             payload = np.arange(int(rng.integers(1, 64)), dtype=float)
-            t_ref, res_ref = _bcast_stage(ref, _stage_env(ref), entry,
-                                          payload, root, nbytes=nbytes)
             nb = payload_nbytes(payload) if nbytes is None else nbytes
-            t_flat, res_flat = _bcast_stage_flat(
-                flat, aggregate.vector_env(flat.world), entry, payload,
-                root, nb)
+            t_ref, res_ref = _bcast_stage(ref, *ref_pricing, entry,
+                                          payload, root, nb)
+            t_flat, res_flat = _bcast_stage(flat, *pricing, entry, payload,
+                                            root, nb)
             assert t_flat == t_ref
             assert res_flat[root] is payload and res_ref[root] is payload
             assert all(res is not payload for r, res in enumerate(res_flat)
                        if r != root)
             _assert_same(res_flat, res_ref)
             assert flat.world.stats.snapshot() == ref.world.stats.snapshot()
+            compl, _inter = aggregate.bcast_times(
+                pricing[1], size, _rotate(entry, root), nb,
+                _rotate(flat._nodes, root))
+            assert compl.tolist() == _rotate(t_flat, root).tolist()
 
 
 def test_pipeline_shape_mismatch_names_both_ranks():

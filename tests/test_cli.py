@@ -142,3 +142,34 @@ def test_bench_table_write_and_check(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"baseline host {point['host']['cpu']}" in out
     assert "current host " in out
+    # Modeled drift from the baseline fails even with the wall in budget.
+    energy = point["results"]["fast"]["total_energy_j"]
+    point["results"]["fast"]["wall_s"] = 1e9
+    point["results"]["fast"]["total_energy_j"] = energy + 1e-9
+    baseline.write_text(json.dumps(report))
+    assert main(["bench", "--quick", "--modes", "fast", "--check",
+                 "--baseline", str(baseline)]) == 1
+    out = capsys.readouterr().out
+    assert "REGRESSION: ime-n96-p4: fast total_energy_j" in out
+    assert "!= baseline fast" in out
+    # So does drift between the fast and message results of one point.
+    from repro import bench
+
+    run_point = bench.run_point
+
+    def drifting(bench_point, mode, **kwargs):
+        out = run_point(bench_point, mode, **kwargs)
+        if mode == "message":
+            out["messages"] += 1
+        return out
+
+    monkeypatch.setattr(bench, "run_point", drifting)
+    point["results"]["fast"]["total_energy_j"] = energy
+    baseline.write_text(json.dumps(report))
+    assert main(["bench", "--quick", "--repeats", "1", "--check",
+                 "--baseline", str(baseline)]) == 1
+    out = capsys.readouterr().out
+    [failure] = [line for line in out.splitlines()
+                 if line.startswith("REGRESSION")]
+    assert failure.startswith("REGRESSION: ime-n96-p4: fast messages ")
+    assert "!= message " in failure

@@ -453,68 +453,6 @@ class TestPerf001:
         assert findings == []
 
 
-# -------------------------------------------------------------- PERF002
-class TestPerf002:
-    IN_SCOPE = "src/repro/simmpi/fastcoll.py"
-
-    def lint_at(self, snippet: str, path: str):
-        return lint_source(textwrap.dedent(snippet), path=path)
-
-    def test_bad_per_rank_loop_in_fast_engine(self):
-        findings = self.lint_at("""
-            def _fused_times(world, size, root):
-                times = {}
-                for r in range(size):
-                    times[r] = world.transfer(root, r)
-                return times
-        """, self.IN_SCOPE)
-        assert rules_of(findings) == ["PERF002"]
-        assert "aggregate" in findings[0].message
-        assert findings[0].line == 4
-
-    def test_bad_size_in_any_range_bound(self):
-        findings = self.lint_at("""
-            def _chain(size):
-                for step in range(1, 2 * size - 1):
-                    pass
-        """, "src/repro/simmpi/fastp2p.py")
-        assert rules_of(findings) == ["PERF002"]
-
-    def test_good_comprehension_exempt(self):
-        # Comprehensions build the vector inputs the closed forms
-        # consume — only statement loops are flagged.
-        findings = self.lint_at("""
-            def _inputs(world, size, root):
-                return [world.node_of(r) for r in range(size)]
-        """, self.IN_SCOPE)
-        assert findings == []
-
-    def test_good_range_not_size_bounded(self):
-        findings = self.lint_at("""
-            def _levels(depth):
-                for level in range(depth):
-                    pass
-        """, self.IN_SCOPE)
-        assert findings == []
-
-    def test_good_outside_fast_engines(self):
-        findings = self.lint_at("""
-            def scatter(size):
-                for r in range(size):
-                    pass
-        """, "src/repro/simmpi/comm.py")
-        assert findings == []
-
-    def test_suppressed_reference_path(self):
-        findings = self.lint_at("""
-            def _fused_times_scalar(world, size, root):
-                # repro: allow[PERF002] -- retained per-edge reference
-                for r in range(size):
-                    world.transfer(root, r)
-        """, self.IN_SCOPE)
-        assert findings == []
-
-
 # --------------------------------------------------------------- CFG001
 class TestCfg001:
     IN_SCOPE = "src/repro/experiments/snippet.py"
