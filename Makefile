@@ -6,7 +6,7 @@
 install:
 	python setup.py develop
 
-test: docs-check lint validate-configs
+test: docs-check lint validate-configs doctest
 	pytest tests/
 
 # Simulation-correctness static analyzer (see docs/static-analysis.md).

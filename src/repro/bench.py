@@ -184,8 +184,7 @@ def run_point(point: BenchPoint, mode: str, seed: int = 0,
     wall = None
     for _ in range(max(1, repeats)):
         job = Job(machine, placement)
-        job.sim.fast_collectives = (mode == "fast")
-        job.sim.fast_p2p = (mode == "fast")
+        job.sim.fast = (mode == "fast")
         program = _make_program(point, system)
         # The self-benchmark is the one place wall time is the measurand.
         t0 = time.perf_counter()

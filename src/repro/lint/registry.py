@@ -120,7 +120,7 @@ RULES: tuple[RuleSpec, ...] = (
             "from repro.simmpi import fastcoll\n\n"
             "def bcast(self, payload, root):\n"
             "    return (fastcoll.fast_bcast(self, payload, root)\n"
-            "            if self.world.sim.fast_collectives\n"
+            "            if self.world.sim.fast\n"
             "            else self._bcast_message(payload, root))\n"
         ),
     ),

@@ -6,18 +6,18 @@ primitive: the closed-form fast path (:mod:`repro.simmpi.fastcoll`,
 defines the semantics.  Their equivalence is only testable while *both*
 stay reachable — a comm-layer entry point that calls a fast-path
 function unconditionally, or behind a guard that does not consult the
-``fast_p2p``/``fast_collectives`` engine gates, silently retires the
-reference path and the two implementations can diverge unnoticed.
+``fast`` engine gate, silently retires the reference path and the two
+implementations can diverge unnoticed.
 
 Within any module that imports ``fastcoll`` or ``fastp2p``, every
 ``fastcoll.fast_*`` / ``fastp2p.fast_*`` call must therefore be
 
 * **conditional** — lexically inside an ``if`` statement or conditional
   expression (so the message path remains a reachable fallback), and
-* **gated** — at least one enclosing condition must read one of the
-  engine gates (``sim.fast_p2p`` / ``sim.fast_collectives``) or call a
-  helper defined in the same module whose body reads one (the
-  ``Communicator._flow_send_ok`` pattern).
+* **gated** — at least one enclosing condition must read the engine
+  gate (``sim.fast``) or call a helper defined in the same module that
+  reads it, directly or through another such helper (the
+  ``Communicator._flow_send_ok`` → ``World._fused`` pattern).
 
 Deliberate exceptions carry ``# repro: allow[FAST001]``.
 """
@@ -37,8 +37,8 @@ _FAST_MODULES = frozenset({
     "repro.simmpi.fastp2p",
 })
 
-#: engine attributes that switch the fast paths on
-_GATES = frozenset({"fast_p2p", "fast_collectives"})
+#: engine attribute that switches the fast paths on
+_GATES = frozenset({"fast"})
 
 
 def _fast_aliases(module: ModuleInfo) -> frozenset[str]:
@@ -56,17 +56,21 @@ def _is_fast_call(node: ast.AST, aliases: frozenset[str]) -> bool:
             and node.func.value.id in aliases)
 
 
-def _reads_gate(fnode: ast.AST) -> bool:
-    return any(
-        isinstance(node, ast.Attribute) and node.attr in _GATES
-        for node in iter_own_nodes(fnode)
-    )
+def _gate_helpers(module: ModuleInfo) -> frozenset[str]:
+    """The module's functions that read the gate, directly or through
+    another such function (a fixed point over same-module calls)."""
+    helpers: frozenset[str] = frozenset()
+    while True:
+        found = frozenset(f.name for f in module.functions if _mentions_gate(
+            iter_own_nodes(f.node), helpers))
+        if found == helpers:
+            return helpers
+        helpers = found
 
 
-def _test_mentions_gate(test: ast.expr, gate_helpers: frozenset[str]) -> bool:
-    """A condition counts as gated when it reads a gate attribute or
-    calls a same-module helper that does."""
-    for node in ast.walk(test):
+def _mentions_gate(nodes, gate_helpers: frozenset[str]) -> bool:
+    """True when ``nodes`` read the gate or call a gate helper."""
+    for node in nodes:
         if isinstance(node, ast.Attribute) and node.attr in _GATES:
             return True
         if isinstance(node, ast.Call):
@@ -96,9 +100,7 @@ def check(module: ModuleInfo) -> list[Finding]:
     aliases = _fast_aliases(module)
     if not aliases:
         return []
-    gate_helpers = frozenset(
-        f.name for f in module.functions if _reads_gate(f.node)
-    )
+    gate_helpers = _gate_helpers(module)
     findings: list[Finding] = []
     for fn in module.functions:
         parents: dict[int, ast.AST] | None = None
@@ -118,15 +120,14 @@ def check(module: ModuleInfo) -> list[Finding]:
                              "reference path is unreachable"),
                     text=module.line_text(node.lineno),
                 ))
-            elif not any(_test_mentions_gate(t, gate_helpers)
+            elif not any(_mentions_gate(ast.walk(t), gate_helpers)
                          for t in tests):
                 findings.append(Finding(
                     path=module.path, line=node.lineno,
                     col=node.col_offset + 1, rule=RULE,
                     message=(f"{fn.name}() guards {callee} without "
-                             "consulting fast_p2p/fast_collectives — the "
-                             "engine gate cannot fall back to the "
-                             "message path"),
+                             "consulting sim.fast — the engine gate "
+                             "cannot fall back to the message path"),
                     text=module.line_text(node.lineno),
                 ))
     return findings

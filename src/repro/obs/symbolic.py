@@ -478,8 +478,7 @@ def run_skeleton_job(
         layout_for(ranks, shape, machine, allow_tail=True), machine
     )
     job = Job(machine, placement, profile=profile, seed=seed)
-    job.sim.fast_collectives = fast
-    job.sim.fast_p2p = fast
+    job.sim.fast = fast
     return job.run(program_fn, n=n, options=SymbolicOptions(nb=nb))
 
 

@@ -30,7 +30,7 @@ from repro.simmpi import fastcoll, fastp2p
 from repro.simmpi.datatypes import copy_payload, payload_nbytes
 from repro.simmpi.engine import Simulator, WaitEvent, acquire_delay
 from repro.simmpi.errors import CommMismatchError, SimMPIError
-from repro.simmpi.fabric import Fabric, UniformFabric
+from repro.simmpi.fabric import Fabric, UniformFabric, hop_costs
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -302,7 +302,7 @@ class World:
         self.node_of = node_of if node_of is not None else (lambda rank: 0)
         self._mailboxes: dict[tuple[int, int], _Mailbox] = {}
         self._comm_ids = itertools.count()
-        self._split_registry: dict[tuple, dict] = {}
+        self._split_registry: dict[tuple, tuple] = {}
         self._msg_seq = itertools.count()
         #: rendezvous records of in-flight fast-path collectives, keyed by
         #: (cid, tag); see :mod:`repro.simmpi.fastcoll`
@@ -325,12 +325,31 @@ class World:
         if self.sanitizer is not None:
             self.sanitizer.attach_world(self)
 
+    @property
+    def fabric(self) -> Fabric:
+        return self._fabric
+
+    @fabric.setter
+    def fabric(self, fabric: Fabric) -> None:
+        # Decided once per assignment, so a fabric swapped in later counts.
+        self._fabric = fabric
+        self._constant_cost = hop_costs(fabric) is not None
+
+    def _fused(self) -> bool:
+        """Whether p2p may ride flow records and ``pipeline`` may fuse
+        (:mod:`repro.simmpi.fastp2p`): fast path on, constant hop costs,
+        no tracer or sanitizer."""
+        return (self._constant_cost and self.sim.fast
+                and self.tracer is None and self.sanitizer is None)
+
     def comm_world(self) -> "list[Communicator]":
-        """Build COMM_WORLD: one communicator handle per rank."""
+        """Build COMM_WORLD: one handle per rank, all sharing one group."""
         cid = next(self._comm_ids)
         ranks = list(range(self.size))
+        nodes = list(map(self.node_of, ranks))
         return [
-            Communicator(self, cid, rank=i, group=ranks, parent=None)
+            Communicator(self, cid, rank=i, group=ranks, nodes=nodes,
+                         parent=None)
             for i in range(self.size)
         ]
 
@@ -393,16 +412,18 @@ class Communicator:
         cid: int,
         rank: int,
         group: list[int],
+        nodes: list[int],
         parent: "Communicator | None",
     ):
         self.world = world
         self.cid = cid
         self.rank = rank
-        self._group = list(group)  # group[i] = world rank of comm rank i
+        # Every member's handle shares these read-only lists:
+        # group[i] is the world rank and nodes[i] the node of comm rank i.
+        self._group = group
+        self._nodes = nodes
         #: group size (plain attribute — hot on the collective fast path)
-        self.size = len(self._group)
-        #: node of each comm rank, precomputed (placement is immutable)
-        self._nodes = [world.node_of(g) for g in self._group]
+        self.size = len(group)
         self.parent = parent
         self._coll_seq = 0
         self._split_seq = 0
@@ -426,12 +447,10 @@ class Communicator:
 
     # ----------------------------------------------------------------- p2p
     def _flow_send_ok(self, dest: int, tag: int) -> bool:
-        """True when a send may ride a flow record (see
-        :mod:`repro.simmpi.fastp2p`): fast path on, deterministic tag, no
-        observers attached, destination not degraded to the mailbox."""
+        """True when a send may ride a flow record: deterministic tag,
+        flows on (:meth:`World._fused`), destination not degraded."""
         world = self.world
-        return (world.sim.fast_p2p and tag >= 0
-                and world.tracer is None and world.sanitizer is None
+        return (tag >= 0 and world._fused()
                 and (self.cid, dest) not in world._p2p_degraded)
 
     def isend(self, payload: Any, dest: int, tag: int = 0,
@@ -440,9 +459,9 @@ class Communicator:
 
         ``nbytes`` overrides the payload's measured size (used by symbolic
         workloads that ship placeholder buffers with annotated wire sizes).
-        With :attr:`Simulator.fast_p2p` the message rides a flow record
-        instead of the mailbox (identical Request timing); the message
-        path below is the bit-identical reference.
+        Where :meth:`World._fused` allows it the message rides a flow
+        record instead of the mailbox (identical Request timing); the
+        message path below is the bit-identical reference.
         """
         self._check_rank(dest, "destination")
         world = self.world
@@ -493,8 +512,8 @@ class Communicator:
              nbytes: int | None = None):
         """Blocking send (eager): returns after the CPU send overhead.
 
-        Dispatches to the closed-form flow path under
-        :attr:`Simulator.fast_p2p`; the message-level path is the
+        Dispatches to the closed-form flow path where
+        :meth:`World._fused` allows it; the message-level path is the
         bit-identical reference.
         """
         self._check_rank(dest, "destination")
@@ -512,7 +531,7 @@ class Communicator:
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
         world = self.world
-        if world.sim.fast_p2p:
+        if world._fused():
             # Pending-receive bookkeeping lives in the mailbox: flush this
             # rank's flows into it and stay message-level from here on.
             fastp2p.degrade(self)
@@ -549,7 +568,7 @@ class Communicator:
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Non-blocking probe; returns the envelope or ``None``."""
-        if self.world.sim.fast_p2p:
+        if self.world._fused():
             # Probing inspects the mailbox, so in-flight flows must land
             # there first (and stay there — degradation is sticky).
             fastp2p.degrade(self)
@@ -599,16 +618,15 @@ class Communicator:
         """Blocking receive; returns the payload (or ``(payload, status)``).
 
         An exact ``(source, tag)`` receive dispatches to the closed-form
-        flow path under :attr:`Simulator.fast_p2p`; wildcards degrade this
-        rank to the bit-identical message-level path below (ANY_SOURCE
-        matching needs the mailbox's cross-flow arbitration).
+        flow path where :meth:`World._fused` allows it; wildcards degrade
+        this rank to the bit-identical message-level path below
+        (ANY_SOURCE matching needs the mailbox's cross-flow arbitration).
         """
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
         world = self.world
-        if world.sim.fast_p2p:
+        if world._fused():
             if (source != ANY_SOURCE and tag >= 0
-                    and world.tracer is None and world.sanitizer is None
                     and (self.cid, self.rank) not in world._p2p_degraded):
                 return fastp2p.fast_recv(self, source, tag, with_status)
             if tag >= 0 or tag == ANY_TAG:
@@ -647,18 +665,16 @@ class Communicator:
             An optional fourth element overrides the modeled wire size in
             bytes (skeleton programs broadcast placeholder payloads).
 
-        Returns this rank's list of per-stage results.  The reference
-        path below simply drives the stages one collective at a time
-        (each dispatching fast/message as usual, with its own span and
-        sanitizer entry); under :attr:`Simulator.fast_p2p` on untraced,
-        unsanitized worlds the whole chain fuses into a single rendezvous
-        with one park/wake per rank and bit-identical virtual times (see
-        :func:`repro.simmpi.fastp2p.fast_pipeline`) — the engine IMe's
-        per-level gather→bcast→bcast exchange registers on.
+        Returns this rank's list of per-stage results.  Where
+        :meth:`World._fused` allows it the whole chain fuses into one
+        rendezvous with one park/wake per rank and bit-identical virtual
+        times (:func:`repro.simmpi.fastp2p.fast_pipeline`) — the engine
+        IMe's per-level gather→bcast→bcast exchange registers on.
+        Elsewhere, jittered fabrics included (fusing would reorder their
+        draws), the stages run one collective at a time, each with its
+        own span and sanitizer entry.
         """
-        world = self.world
-        if (world.sim.fast_p2p and world.tracer is None
-                and world.sanitizer is None):
+        if self.world._fused():
             return fastp2p.fast_pipeline(self, steps)
         return self._pipeline_compose(steps)
 
@@ -692,11 +708,6 @@ class Communicator:
         self._coll_seq += 1
         return _COLL_TAG_BASE - self._coll_seq
 
-    @staticmethod
-    def _binomial_parent_children(vrank: int, size: int) -> tuple[int | None, list[int]]:
-        """Binomial-tree neighbours for a virtual rank (root = 0)."""
-        return _binomial_tree(vrank, size)
-
     def _coll_span(self, op_name: str, gen):
         """Drive a collective generator inside an observability span.
 
@@ -720,8 +731,8 @@ class Communicator:
     def bcast(self, payload: Any, root: int = 0, nbytes: int | None = None):
         """Binomial-tree broadcast; every rank returns the payload.
 
-        With :attr:`Simulator.fast_collectives` the completion times are
-        computed in closed form from the same cost model (see
+        With :attr:`Simulator.fast` the completion times are computed in
+        closed form from the same cost model on any fabric (see
         :mod:`repro.simmpi.fastcoll`); the message-level tree below is the
         validation reference.
         """
@@ -731,7 +742,7 @@ class Communicator:
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "bcast", root)
         gen = (fastcoll.fast_bcast(self, payload, root, nbytes)
-               if world.sim.fast_collectives
+               if world.sim.fast
                else self._bcast_message(payload, root, nbytes))
         if world.tracer is None:
             return gen
@@ -743,7 +754,7 @@ class Communicator:
         if size == 1:
             return copy_payload(payload)
         vrank = (self.rank - root) % size
-        parent, children = self._binomial_parent_children(vrank, size)
+        parent, children = _binomial_tree(vrank, size)
         if parent is not None:
             payload = yield from self.recv(source=(parent + root) % size, tag=tag)
         data_bytes = nbytes
@@ -765,7 +776,7 @@ class Communicator:
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "gather", root)
         gen = (fastcoll.fast_gather(self, payload, root)
-               if world.sim.fast_collectives
+               if world.sim.fast
                else self._gather_message(payload, root))
         if world.tracer is None:
             return gen
@@ -778,7 +789,7 @@ class Communicator:
         if size == 1:
             return [acc[self.rank]]
         vrank = (self.rank - root) % size
-        parent, children = self._binomial_parent_children(vrank, size)
+        parent, children = _binomial_tree(vrank, size)
         for child in sorted(children, reverse=True):
             part = yield from self.recv(source=(child + root) % size, tag=tag)
             acc.update(part)
@@ -801,7 +812,7 @@ class Communicator:
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "scatter", root)
         gen = (fastcoll.fast_scatter(self, payloads, root, nbytes)
-               if world.sim.fast_collectives
+               if world.sim.fast
                else self._scatter_message(payloads, root, nbytes))
         if world.tracer is None:
             return gen
@@ -833,7 +844,7 @@ class Communicator:
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "reduce", root)
         gen = (fastcoll.fast_reduce(self, payload, op, root)
-               if world.sim.fast_collectives
+               if world.sim.fast
                else self._reduce_message(payload, op, root))
         if world.tracer is None:
             return gen
@@ -846,7 +857,7 @@ class Communicator:
         if size == 1:
             return acc
         vrank = (self.rank - root) % size
-        parent, children = self._binomial_parent_children(vrank, size)
+        parent, children = _binomial_tree(vrank, size)
         # Children are combined deepest-first so every rank receives from all
         # of its binomial children before forwarding to its parent.
         for child in sorted(children, reverse=True):
@@ -865,7 +876,7 @@ class Communicator:
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "allreduce")
         if world.tracer is None:
-            if world.sim.fast_collectives:
+            if world.sim.fast:
                 return fastcoll.fast_allreduce(self, payload, op)
             return self._allreduce_compose(payload, op)
         return self._coll_span("allreduce", self._allreduce_compose(payload, op))
@@ -880,7 +891,7 @@ class Communicator:
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "allgather")
         if world.tracer is None:
-            if world.sim.fast_collectives:
+            if world.sim.fast:
                 return fastcoll.fast_allgather(self, payload)
             return self._allgather_compose(payload)
         return self._coll_span("allgather", self._allgather_compose(payload))
@@ -963,7 +974,7 @@ class Communicator:
         if world.sanitizer is not None:
             world.sanitizer.on_collective(self, "barrier")
         if world.tracer is None:
-            if world.sim.fast_collectives:
+            if world.sim.fast:
                 return fastcoll.fast_barrier(self)
             return self._barrier_compose()
         return self._coll_span("barrier", self._barrier_compose())
@@ -989,19 +1000,22 @@ class Communicator:
         self._split_seq += 1
         if color is None:
             return None
-        members = sorted(
-            (k, r) for (c, k, r) in entries if c == color
-        )
-        group = [self._group[r] for (_k, r) in members]
-        new_rank = [r for (_k, r) in members].index(self.rank)
+        # The first member to return builds the color's communicator;
+        # the others share its cid and its member and node lists.
         reg_key = (self.cid, self._split_seq, color)
         shared = self.world._split_registry.get(reg_key)
         if shared is None:
-            shared = {"cid": next(self.world._comm_ids)}
-            self.world._split_registry[reg_key] = shared
-        return Communicator(
-            self.world, shared["cid"], rank=new_rank, group=group, parent=self
-        )
+            order = [r for (_k, r) in sorted(
+                (k, r) for (c, k, r) in entries if c == color)]
+            shared = self.world._split_registry[reg_key] = (
+                next(self.world._comm_ids),
+                [self._group[r] for r in order],
+                [self._nodes[r] for r in order],
+                {r: i for i, r in enumerate(order)},
+            )
+        cid, group, nodes, new_rank = shared
+        return Communicator(self.world, cid, rank=new_rank[self.rank],
+                            group=group, nodes=nodes, parent=self)
 
     @_traced("coll")
     def split_type(self, split_type: str = COMM_TYPE_SHARED,

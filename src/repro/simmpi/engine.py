@@ -323,8 +323,8 @@ class Simulator:
     """The deterministic event loop and virtual clock.
 
     >>> sim = Simulator()
-    >>> sim.now
-    0.0
+    >>> sim.now, sim.fast
+    (0.0, True)
     >>> hits = []
     >>> sim.call_at(0.25, hits.append)         # raw callback, absolute time
     >>> def prog():
@@ -337,9 +337,7 @@ class Simulator:
     ('ok', [None])
     """
 
-    def __init__(self, fast_collectives: bool = True,
-                 fast_p2p: bool = False,
-                 sanitize: bool | None = None):
+    def __init__(self, fast: bool = True, sanitize: bool | None = None):
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = 0
@@ -359,17 +357,14 @@ class Simulator:
         if sanitize:
             from repro.simmpi.sanitizer import Sanitizer
             self.sanitizer = Sanitizer(self)
-        #: communicators built on this simulator compute collective
-        #: completion times in closed form instead of spawning per-hop
-        #: messages (see :mod:`repro.simmpi.fastcoll`); the message-level
-        #: path is kept for validation via ``fast_collectives=False``
-        self.fast_collectives = fast_collectives
-        #: deterministic point-to-point traffic (and ``Communicator.
-        #: pipeline`` compositions) completes through closed-form flow
-        #: records instead of mailbox events (see
-        #: :mod:`repro.simmpi.fastp2p`); off by default — the message-level
-        #: path is the bit-identical reference
-        self.fast_p2p = fast_p2p
+        #: the fast path: collectives complete in closed form
+        #: (:mod:`repro.simmpi.fastcoll`) on any fabric; on a fabric with
+        #: constant hop costs and no observer attached, deterministic
+        #: point-to-point traffic also rides flow records and
+        #: ``Communicator.pipeline`` fuses into one rendezvous
+        #: (:mod:`repro.simmpi.fastp2p`).  ``False`` runs the
+        #: message-level path, the bit-identical reference.
+        self.fast = fast
 
     @property
     def now(self) -> float:

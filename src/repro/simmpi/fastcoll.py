@@ -9,9 +9,8 @@ model and suspends each rank exactly once, on a single wake event
 scheduled at its completion time.  Byte/hop/inter-node counters add up
 to the message path's exactly, so energy accounting, ``PowerTracer``
 lanes, and Chrome-trace collective spans are unchanged.
-It is enabled by ``Simulator(fast_collectives=True)`` — the default; the
-message-level path is kept as the validation reference
-(``fast_collectives=False``).
+It runs under ``Simulator(fast=True)`` — the default — on any fabric; the
+message-level path is kept as the validation reference (``fast=False``).
 
 How a collective executes
 -------------------------
@@ -72,7 +71,9 @@ callable (:func:`repro.simmpi.fabric.schedule_of`) at the same point of
 the same loop, so seeded jitter draws and NIC queue updates keep their
 order.  Traffic counters are booked once per loop with
 ``TrafficStats.record_bulk`` (order-free integer sums); tracer metric
-lanes stay per hop.
+lanes stay per hop.  The fused pipeline stages of
+:mod:`repro.simmpi.fastp2p` run only on constant-cost fabrics, so they
+have the constants branch alone.
 
 With a *stateful* fabric (seeded jitter, ``serialize_injection``) the fast
 path still charges the same cost model per modeled hop, but hops may

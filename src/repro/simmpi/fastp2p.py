@@ -9,8 +9,7 @@ computes its completion in closed form and queues the message on the flow;
 an exact-match blocking ``recv`` pops the earliest-arriving queued message
 (or parks — :class:`~repro.simmpi.engine.Park` — until a sender wakes it),
 reproducing the mailbox's arrival-order matching without any event
-objects.  It is enabled by ``Simulator(fast_p2p=True)``; the message-level
-path is the default and stays the bit-identical reference.
+objects.
 
 On top of the flow records, :func:`fast_pipeline` executes a
 ``Communicator.pipeline`` composition — a gather→bcast chain such as IMe's
@@ -19,21 +18,25 @@ once and the last entrant replays all stages with the exact
 :mod:`repro.simmpi.fastcoll` recurrences (same fold order, same float
 round trips), so virtual times, traffic counters, and solver values are
 bit-identical to driving the stages one collective at a time.  Each
-stage is one hop loop (:func:`_gather_stage`, :func:`_bcast_stage`) that
-prices hops exactly as the collectives do: from the fabric's constant
-hop costs when it has them, by fabric calls otherwise (see
-:mod:`repro.simmpi.fastcoll`, "How a hop is priced").
+stage is one hop loop (:func:`_gather_stage`, :func:`_bcast_stage`)
+priced from the fabric's constant hop costs.
+
+Both run under ``Simulator(fast=True)`` where
+:meth:`repro.simmpi.comm.World._fused` allows it: constant hop costs, no
+tracer or sanitizer.  On a jittered fabric the fused pipeline would draw
+the jitter in a different order than the composed collectives, so there
+the pipeline composes and p2p takes the mailbox.
 
 Scope and degradation
 ---------------------
 Flows carry only traffic the closed form can match deterministically:
 blocking/non-blocking sends and blocking receives with an exact source
-and a non-negative tag, on untraced, unsanitized worlds.  The wildcard
-operations (``ANY_SOURCE``/``ANY_TAG`` receives, ``irecv``, ``probe``,
-``iprobe``) *degrade* the receiving rank's mailbox: pending flow messages
-are flushed into the mailbox in ``(arrival, seq)`` order (the exact
-message-level delivery order) and the ``(cid, rank)`` pair is marked so
-every later operation takes the message-level path.  Degradation is
+and a non-negative tag.  The wildcard operations (``ANY_SOURCE``/
+``ANY_TAG`` receives, ``irecv``, ``probe``, ``iprobe``) *degrade* the
+receiving rank's mailbox: pending flow messages are flushed into the
+mailbox in ``(arrival, seq)`` order (the exact message-level delivery
+order) and the ``(cid, rank)`` pair is marked so every later operation
+takes the message-level path.  Degradation is
 sticky and per destination — deterministic flows elsewhere keep the fast
 path.  With a tracer or sanitizer attached the dispatchers in
 :mod:`repro.simmpi.comm` never route through flows at all, so span
@@ -43,13 +46,14 @@ run starts, not mid-flight.
 Equivalence contract
 --------------------
 Identical to :mod:`repro.simmpi.fastcoll`'s (see its module docstring):
-for any stateless fabric the flow path is bit-identical to the
+on every fabric the flow path runs on, it is bit-identical to the
 message-level path in virtual time, energy, message/byte counters, and
 payload values.  ``_msg_seq`` is consumed exactly as the message path
 would (one per send, one per posted receive), so flushed flows interleave
 with mailbox arbitration exactly as an all-message run.
 ``tests/test_fast_p2p.py`` asserts the contract end to end on IMe and
-fault-tolerant IMe.
+fault-tolerant IMe, and pins that a jittered job reads the same with
+and without the fused pipeline.
 """
 
 from __future__ import annotations
@@ -71,9 +75,7 @@ from repro.simmpi.fastcoll import (
     _children_desc_table,
     _children_table,
     _COLL_TAG_BASE,
-    _fixed_hop,
     _parents_table,
-    _pricing,
 )
 
 
@@ -137,9 +139,10 @@ def _push(comm, payload: Any, dest: int, tag: int,
           nbytes: int | None) -> tuple[float, float]:
     """Queue one message on its flow; returns ``(now, send_completion)``.
 
-    Mirrors ``Communicator.isend`` exactly: same fabric queries, same
-    ``call_at`` float round trips, same traffic accounting, same
-    ``_msg_seq`` consumption, same copy-on-send.
+    Mirrors ``Communicator.isend`` exactly: same fabric queries (on a
+    constant-cost fabric ``transfer_schedule``, where present, is
+    ``now + transfer_time``), same ``call_at`` float round trips, same
+    traffic accounting, same ``_msg_seq`` consumption, same copy-on-send.
     """
     world = comm.world
     sim = world.sim
@@ -148,11 +151,7 @@ def _push(comm, payload: Any, dest: int, tag: int,
     src_node = comm._nodes[comm.rank]
     dst_node = comm._nodes[dest]
     now = sim.now
-    schedule = getattr(fabric, "transfer_schedule", None)
-    if schedule is not None:
-        raw = schedule(size, src_node, dst_node, now)
-    else:
-        raw = now + fabric.transfer_time(size, src_node, dst_node)
+    raw = now + fabric.transfer_time(size, src_node, dst_node)
     arrival = now + (raw - now)
     if world.track_traffic:
         world.stats.record(size, src_node != dst_node)
@@ -285,17 +284,15 @@ class _PipeRec:
         self.remaining = size
 
 
-def _gather_stage(comm, schedule, costs, entry: list, payloads: list,
-                  root: int):
+def _gather_stage(comm, costs, entry: list, payloads: list, root: int):
     """Closed-form binomial gather with per-rank entry times ``entry``.
 
     One loop over the hops of :func:`repro.simmpi.fastcoll._up_cascade`
     (same deepest-first child fold, same ``max(entry, arrival) +
-    cpu_overhead`` recurrence, same float round trips, same pricing
-    branch — ``schedule``/``costs`` come from
-    :func:`repro.simmpi.fastcoll._pricing`), over plain lists rotated to
-    the root (index = virtual rank).  ``if a > t: t = a`` is builtin
-    ``max(t, a)`` spelled without the call.  Every payload is copied
+    cpu_overhead`` recurrence, same float round trips), every hop priced
+    from the fabric's constant hop costs ``costs``, over plain lists
+    rotated to the root (index = virtual rank).  ``if a > t: t = a`` is
+    builtin ``max(t, a)`` spelled without the call.  Every payload is copied
     once, straight into the root's rank-ordered list; the subtree wire
     sizes accumulate inline; the traffic is booked once.  Returns
     per-rank completion times and results (the list on the root,
@@ -304,7 +301,6 @@ def _gather_stage(comm, schedule, costs, entry: list, payloads: list,
     size = comm.size
     world = comm.world
     intra_lat, intra_bw, inter_lat, inter_bw, ovh, ovh_pb = costs
-    cpu_overhead = world.fabric.cpu_overhead
     nodes = comm._nodes
     nodes_v = nodes[root:] + nodes[:root]
     entry_v = entry[root:] + entry[:root]
@@ -335,12 +331,8 @@ def _gather_stage(comm, schedule, costs, entry: list, payloads: list,
             dt = inter_lat + abytes / inter_bw
             inter_msgs += 1
             inter_bytes += abytes
-        if schedule is None:
-            arrival[v] = t + ((t + dt) - t)
-            o = ovh + ovh_pb * abytes
-        else:
-            arrival[v] = t + (schedule(abytes, src_node, dst_node, t) - t)
-            o = cpu_overhead(abytes)
+        arrival[v] = t + ((t + dt) - t)
+        o = ovh + ovh_pb * abytes
         wire[v] = abytes
         ovh_in[v] = o
         compl_v[v] = t + ((t + o) - t)
@@ -359,8 +351,7 @@ def _gather_stage(comm, schedule, costs, entry: list, payloads: list,
     return compl_v[cut:] + compl_v[:cut], results
 
 
-def _bcast_stage(comm, schedule, costs, entry: list, payload: Any, root: int,
-                 nb: int):
+def _bcast_stage(comm, costs, entry: list, payload: Any, root: int, nb: int):
     """Closed-form binomial broadcast with per-rank entry times ``entry``.
 
     One loop over the hops of
@@ -373,8 +364,9 @@ def _bcast_stage(comm, schedule, costs, entry: list, payload: Any, root: int,
     """
     size = comm.size
     world = comm.world
-    overhead, dt_intra, dt_inter = _fixed_hop(world.fabric, schedule, costs,
-                                              nb)
+    overhead = costs.ovh + costs.ovh_pb * nb
+    dt_intra = costs.intra_lat + nb / costs.intra_bw
+    dt_inter = costs.inter_lat + nb / costs.inter_bw
     nodes = comm._nodes
     nodes_v = nodes[root:] + nodes[:root]
     entry_v = entry[root:] + entry[:root]
@@ -400,10 +392,7 @@ def _bcast_stage(comm, schedule, costs, entry: list, payload: Any, root: int,
                 else:
                     dt = dt_inter
                     inter += 1
-                if schedule is None:
-                    barr[c] = t + ((t + dt) - t)
-                else:
-                    barr[c] = t + (schedule(nb, src_node, dst_node, t) - t)
+                barr[c] = t + ((t + dt) - t)
                 t = t + ((t + overhead) - t)
         compl_v[v] = t
     if world.track_traffic:
@@ -420,9 +409,9 @@ def _pipe_times(comm, rec: _PipeRec, size: int):
     """Replay every stage of a fused pipeline; returns per-rank
     completion times and per-rank stage-result lists.
 
-    Each stage is one hop loop, priced from the fabric's constant hop
-    costs when it has them (:func:`repro.simmpi.aggregate.vector_env`)
-    and by fabric calls otherwise.
+    Each stage is one hop loop priced from the fabric's constant hop
+    costs (:func:`repro.simmpi.aggregate.vector_env`), which
+    ``Communicator.pipeline`` guarantees before it fuses.
     """
     steps0 = rec.steps[0]
     shape0 = list(map(_stage_shape, steps0))
@@ -433,8 +422,7 @@ def _pipe_times(comm, rec: _PipeRec, size: int):
                 f"pipeline stage shapes differ between ranks 0 and {r}: "
                 f"{shape0} vs {shape}"
             )
-    world = comm.world
-    schedule, costs = _pricing(world.fabric, aggregate.vector_env(world))
+    costs = aggregate.vector_env(comm.world)
     t = list(rec.entry)
     stage_results: list[list] = []
     for si, step0 in enumerate(steps0):
@@ -442,14 +430,14 @@ def _pipe_times(comm, rec: _PipeRec, size: int):
         root = step0[1]
         if kind == "gather":
             payloads = [steps[si][2] for steps in rec.steps]
-            t, res = _gather_stage(comm, schedule, costs, t, payloads, root)
+            t, res = _gather_stage(comm, costs, t, payloads, root)
         elif kind == "bcast":
             producer = rec.steps[root][si][2]
             prev = stage_results[si - 1][root] if si else None
             payload = producer(prev) if producer is not None else None
             nbytes = step0[3] if len(step0) > 3 else None
             nb = payload_nbytes(payload) if nbytes is None else nbytes
-            t, res = _bcast_stage(comm, schedule, costs, t, payload, root, nb)
+            t, res = _bcast_stage(comm, costs, t, payload, root, nb)
         else:
             raise SimMPIError(f"unknown pipeline stage kind {kind!r}")
         stage_results.append(res)

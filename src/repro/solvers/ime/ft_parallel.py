@@ -272,9 +272,9 @@ def ime_ft_parallel_program(ctx, comm, system=None,
 
         # ----------------------------------------------- one level (as IMeP)
         # The gather→bcast(aux)→bcast(chat) chain runs as one pipeline so
-        # the fast-p2p engine can fuse the whole level into a single
-        # rendezvous; the compose path drives the same collectives one at
-        # a time.
+        # the fast path can fuse the whole level into a single rendezvous
+        # on a constant-cost fabric; elsewhere the pipeline drives the same
+        # collectives one at a time.
         m_local = (acc.row(local_cols, level) if not is_checksum_rank
                    else m_empty)
         owner_world = int(owner_of[level])

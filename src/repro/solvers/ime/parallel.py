@@ -142,8 +142,9 @@ def ime_parallel_program(ctx, comm, system=None, options: ImeOptions | None = No
     # the pre-pivot updates no longer apply to it — so the kernel's
     # correction formulas stay exact for pivoted columns too.  The
     # per-level message pattern — gather(row) → bcast(aux) →
-    # bcast(column) — runs through ``comm.pipeline`` so the fast-p2p
-    # engine can fuse each level's chain into a single rendezvous.
+    # bcast(column) — runs through ``comm.pipeline`` so the fast path
+    # can fuse each level's chain into a single rendezvous on a
+    # constant-cost fabric.
     kb = max(1, opts.block_levels)
     acc = PanelAccumulator(kb, n, n_local, zero_c_prefix=False)
     level_flops = ImeCostModel.level_flops_per_rank(n, size)

@@ -2,21 +2,24 @@
 
 The fast engines (``repro/simmpi/fastcoll.py``, ``fastp2p.py``) run each
 collective and each fused-pipeline stage as one loop over its modeled
-hops, and the loop's only branch is how it prices a hop: from the
+hops.  A collective's loop has one branch, how it prices a hop: from the
 fabric's constant hop costs (``Fabric.hop_costs()``), or by calling the
 fabric.  Both branches must be bit-identical to each other and to the
 message-level reference: same results, same virtual times, same traffic,
 same energy.
 
-Every case therefore runs three legs: the hop loop on a constant-cost
-fabric (constants branch), the hop loop on the same fabric wrapped in
-:class:`HiddenCosts`, which withholds its constants (fabric-call branch),
-and the message path.  The cases cover the solver grid, ft-IMe
-mid-solve recovery, wildcard/probe degradation, broadcasts with shuffled
-entry times, gathers whose senders reuse their buffers, a fabric swapped
-for a NIC-queueing one after the Job is built, and each pipeline stage
-on its own.  The numpy wave forms of ``aggregate.py`` have no engine
-caller; the stage tests check them against the hop loops.
+Every case therefore runs three legs: the fast path on a constant-cost
+fabric (constants branch, flow records, fused pipeline), the fast path
+on the same fabric wrapped in :class:`HiddenCosts`, which withholds its
+constants (fabric-call branch, mailbox p2p, composed pipeline), and the
+message path.  The cases cover the solver grid, ft-IMe mid-solve
+recovery, wildcard/probe degradation, broadcasts with shuffled entry
+times, gathers whose senders reuse their buffers, a fabric swapped for a
+NIC-queueing one after the Job is built, and each pipeline stage on its
+own.  The pipeline stages fuse only on constant-cost fabrics, so their
+loops have the constants branch alone; the stage tests check them
+against the message path and against the numpy wave forms of
+``aggregate.py``, which have no engine caller.
 """
 
 import random
@@ -36,9 +39,8 @@ from repro.runtime.job import Job
 from repro.simmpi import aggregate, fastcoll
 from repro.simmpi.comm import ANY_SOURCE, World
 from repro.simmpi.datatypes import DEFAULT_OBJECT_BYTES, payload_nbytes
-from repro.simmpi.engine import Delay, Simulator
+from repro.simmpi.engine import Delay, SleepUntil, Simulator
 from repro.simmpi.fabric import UniformFabric, hop_costs
-from repro.simmpi.fastcoll import _pricing
 from repro.simmpi.fastp2p import _bcast_stage, _gather_stage
 from repro.solvers.ime.ft_parallel import FtOptions, ime_ft_parallel_program
 from repro.solvers.ime.parallel import ime_parallel_program
@@ -90,8 +92,7 @@ def run_job(program, ranks, fast, hide=False):
         machine = small_test_machine(cores_per_socket=ranks // 2)
         placement = place_ranks(ranks, LoadShape.FULL, machine)
     job = Job(machine, placement)
-    job.sim.fast_collectives = fast
-    job.sim.fast_p2p = fast
+    job.sim.fast = fast
     if hide:
         hidden = _hide(job.world)
         result = job.run(program)
@@ -179,9 +180,7 @@ def run_world_three_way(size, program, node_of=lambda r: r % 2):
     """World-level three-way comparison (no energy context needed)."""
 
     def run(fast, hide=False):
-        sim = Simulator()
-        sim.fast_collectives = fast
-        sim.fast_p2p = fast
+        sim = Simulator(fast=fast)
         world = World(sim, size, fabric=UniformFabric(), node_of=node_of)
         if hide:
             _hide(world)
@@ -372,7 +371,6 @@ def test_constants_leg_makes_no_fabric_calls():
         return got, red, total, mine
 
     sim = Simulator()
-    sim.fast_collectives = True
     world = World(sim, 12, fabric=NoTransfers(),
                   node_of=lambda r: r // 5)
     procs = [sim.spawn(program(comm)) for comm in world.comm_world()]
@@ -411,7 +409,6 @@ def _skeleton_job(algo, n, ranks, hide):
     placement = Placement(
         layout_for(ranks, LoadShape.FULL, machine, allow_tail=True), machine)
     job = Job(machine, placement)
-    job.sim.fast_collectives = job.sim.fast_p2p = True
     if hide:
         _hide(job.world)
     return job.run(EXACT_SKELETON_PROGRAMS[algo], n=n,
@@ -435,17 +432,49 @@ def test_exact_skeleton_vector_scalar_identity_paper_ranks(algo, ranks):
 
 
 # ------------------------------------- pipeline stage loops, stage by stage
-def _stage_comm(size, node_of, hide=False):
-    """Rank 0's COMM_WORLD handle on a fresh jitter-free cluster fabric,
-    with the ``(schedule, costs)`` pricing its hop loops use."""
-    world = World(Simulator(), size,
-                  fabric=ClusterFabric(NetworkParams(), jitter_frac=0.0),
-                  node_of=node_of)
-    if hide:
-        _hide(world)
-    pricing = _pricing(world.fabric, aggregate.vector_env(world))
-    assert (pricing[0] is None) is not hide
-    return world.comm_world()[0], pricing
+def _stage_world(size, node_of, fast):
+    """A fresh world on a jitter-free cluster fabric."""
+    return World(Simulator(fast=fast), size,
+                 fabric=ClusterFabric(NetworkParams(), jitter_frac=0.0),
+                 node_of=node_of)
+
+
+def _stage_comm(size, node_of):
+    """Rank 0's COMM_WORLD handle and the constant hop costs the stage
+    loops are priced from."""
+    world = _stage_world(size, node_of, True)
+    costs = aggregate.vector_env(world)
+    assert costs is not None
+    return world.comm_world()[0], costs
+
+
+def _message_stages(size, node_of, stages):
+    """Run ``(kind, root, entry, arg, nbytes)`` stages on the message
+    path: every rank enters a stage at its ``entry`` time; returns the
+    per-stage completion times and results, rank-indexed, and the
+    traffic snapshot."""
+    world = _stage_world(size, node_of, False)
+
+    def program(comm):
+        out = []
+        for kind, root, entry, arg, nbytes in stages:
+            yield SleepUntil(entry[comm.rank])
+            if kind == "gather":
+                res = yield from comm.gather(arg[comm.rank], root=root)
+            else:
+                res = yield from comm.bcast(
+                    arg if comm.rank == root else None, root=root,
+                    nbytes=nbytes)
+            out.append((world.sim.now, res))
+        return out
+
+    procs = [world.sim.spawn(program(comm)) for comm in world.comm_world()]
+    world.sim.run()
+    per_stage = [list(zip(*stage)) for stage in
+                 zip(*(p.result for p in procs))]
+    return ([list(t) for t, _res in per_stage],
+            [list(res) for _t, res in per_stage],
+            world.stats.snapshot())
 
 
 def _ragged_payload(rng, r):
@@ -468,77 +497,85 @@ def _rotate(values, root):
     return np.asarray(values[root:] + values[:root])
 
 
+def _entries(rng, size, i):
+    """Entry times of stage ``i``: a second apart from stage to stage,
+    shuffled on the scale of a hop within one."""
+    return (float(i) + rng.random(size) * 1e-5).tolist()
+
+
 STAGE_SIZES = [2, 3, 12, 33, 144, 145, 1296]
 
 
 @pytest.mark.parametrize("node_map", sorted(NODE_MAPS))
 @pytest.mark.parametrize("size", STAGE_SIZES)
 def test_gather_stage_flat_matches_fabric_walk(size, node_map):
-    """The gather stage's constants branch equals its fabric-call branch
-    bit for bit: completion times, the root's rank-ordered result, and
-    the traffic counters — and both equal the numpy wave forms'
-    wire sizes and completion times."""
+    """The gather stage's loop equals the message path bit for bit:
+    completion times, the root's rank-ordered result, and the traffic
+    counters — and the numpy wave forms' wire sizes and completion
+    times."""
     rng = np.random.default_rng(size)
     node_of = NODE_MAPS[node_map]
-    ref, ref_pricing = _stage_comm(size, node_of, hide=True)
-    flat, pricing = _stage_comm(size, node_of)
-    for root in _stage_roots(size):
-        entry = (rng.random(size) * 1e-5).tolist()
+    flat, costs = _stage_comm(size, node_of)
+    stages, outs = [], []
+    for i, root in enumerate(_stage_roots(size)):
+        entry = _entries(rng, size, i)
         payloads = [_ragged_payload(rng, r) for r in range(size)]
         before = flat.world.stats.bytes
-        t_ref, res_ref = _gather_stage(ref, *ref_pricing, entry, payloads,
-                                       root)
-        t_flat, res_flat = _gather_stage(flat, *pricing, entry, payloads,
-                                         root)
-        assert t_flat == t_ref
+        t_flat, res_flat = _gather_stage(flat, costs, entry, payloads, root)
+        stages.append(("gather", root, entry, payloads, None))
+        outs.append((t_flat, res_flat))
         assert all(res is None for r, res in enumerate(res_flat)
                    if r != root)
-        _assert_same(res_flat[root], res_ref[root])
         # Copy-on-send: no array in the root's list is a sender's buffer.
         assert not any(got is sent for got, sent
                        in zip(res_flat[root], payloads)
                        if isinstance(sent, np.ndarray))
-        snap = flat.world.stats.snapshot()
-        assert snap == ref.world.stats.snapshot()
         wire = aggregate.gather_sizes(
             size, _rotate([payload_nbytes(p) for p in payloads], root),
             DEFAULT_OBJECT_BYTES)
-        assert snap["bytes"] - before == int(wire[1:].sum())
+        assert flat.world.stats.bytes - before == int(wire[1:].sum())
         compl, _arr, _msgs, _bytes = aggregate.gather_times(
-            pricing[1], size, _rotate(entry, root), wire,
+            costs, size, _rotate(entry, root), wire,
             _rotate(flat._nodes, root))
         assert compl.tolist() == _rotate(t_flat, root).tolist()
+    times, results, traffic = _message_stages(size, node_of, stages)
+    for (t_flat, res_flat), t_msg, res_msg in zip(outs, times, results):
+        assert t_flat == t_msg
+        _assert_same(res_flat, res_msg)
+    assert flat.world.stats.snapshot() == traffic
 
 
 @pytest.mark.parametrize("node_map", sorted(NODE_MAPS))
 @pytest.mark.parametrize("size", STAGE_SIZES)
 def test_bcast_stage_flat_matches_fabric_walk(size, node_map):
-    """The bcast stage's constants branch equals its fabric-call branch
-    bit for bit, with the payload's own size and with a wire-size
-    override — and both equal the numpy wave form's completion times."""
+    """The bcast stage's loop equals the message path bit for bit, with
+    the payload's own size and with a wire-size override — and the numpy
+    wave form's completion times."""
     rng = np.random.default_rng(size + 1)
     node_of = NODE_MAPS[node_map]
-    ref, ref_pricing = _stage_comm(size, node_of, hide=True)
-    flat, pricing = _stage_comm(size, node_of)
+    flat, costs = _stage_comm(size, node_of)
+    stages, outs = [], []
     for root in _stage_roots(size):
         for nbytes in (None, 8 * int(rng.integers(1, 5000))):
-            entry = (rng.random(size) * 1e-5).tolist()
+            entry = _entries(rng, size, len(stages))
             payload = np.arange(int(rng.integers(1, 64)), dtype=float)
             nb = payload_nbytes(payload) if nbytes is None else nbytes
-            t_ref, res_ref = _bcast_stage(ref, *ref_pricing, entry,
-                                          payload, root, nb)
-            t_flat, res_flat = _bcast_stage(flat, *pricing, entry, payload,
+            t_flat, res_flat = _bcast_stage(flat, costs, entry, payload,
                                             root, nb)
-            assert t_flat == t_ref
-            assert res_flat[root] is payload and res_ref[root] is payload
+            stages.append(("bcast", root, entry, payload, nbytes))
+            outs.append((t_flat, res_flat))
+            assert res_flat[root] is payload
             assert all(res is not payload for r, res in enumerate(res_flat)
                        if r != root)
-            _assert_same(res_flat, res_ref)
-            assert flat.world.stats.snapshot() == ref.world.stats.snapshot()
             compl, _inter = aggregate.bcast_times(
-                pricing[1], size, _rotate(entry, root), nb,
+                costs, size, _rotate(entry, root), nb,
                 _rotate(flat._nodes, root))
             assert compl.tolist() == _rotate(t_flat, root).tolist()
+    times, results, traffic = _message_stages(size, node_of, stages)
+    for (t_flat, res_flat), t_msg, res_msg in zip(outs, times, results):
+        assert t_flat == t_msg
+        _assert_same(res_flat, res_msg)
+    assert flat.world.stats.snapshot() == traffic
 
 
 def test_pipeline_shape_mismatch_names_both_ranks():
@@ -552,8 +589,6 @@ def test_pipeline_shape_mismatch_names_both_ranks():
                                   ("bcast", 0, None, 8)))
 
     sim = Simulator()
-    sim.fast_collectives = True
-    sim.fast_p2p = True
     world = World(sim, 4, fabric=UniformFabric())
     for comm in world.comm_world():
         sim.spawn(program(comm), name=f"rank{comm.rank}")

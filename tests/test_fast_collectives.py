@@ -2,7 +2,7 @@
 
 The contract (see ``repro/simmpi/fastcoll.py`` and docs/performance.md):
 with a fabric whose per-message cost is a pure function of
-``(nbytes, src_node, dst_node)``, a ``fast_collectives=True`` run is
+``(nbytes, src_node, dst_node)``, a ``fast=True`` run is
 *bit-identical* to the message-level reference — same results, same
 virtual times, same traffic counters, same energy totals.
 """
@@ -24,7 +24,7 @@ from repro.workloads.generator import generate_system
 def run_world(size, program, fast, node_of=None):
     """Run `program(comm)` on every rank; return (results, now, traffic)."""
     sim = Simulator()
-    sim.fast_collectives = fast
+    sim.fast = fast
     world = World(sim, size, fabric=UniformFabric(),
                   node_of=node_of or (lambda r: r % 2))
     procs = [sim.spawn(program(comm), name=f"rank{comm.rank}")
@@ -189,7 +189,7 @@ def test_solver_end_to_end_equivalence(solver):
         machine = small_test_machine(cores_per_socket=2)
         placement = place_ranks(ranks, LoadShape.FULL, machine)
         job = Job(machine, placement)
-        job.sim.fast_collectives = fast
+        job.sim.fast = fast
         system = generate_system(48, seed=11)
         if solver == "ime":
             def program(ctx, comm):

@@ -1,12 +1,14 @@
 """Fast point-to-point (flow fusion) equivalence tests.
 
 The contract (see ``repro/simmpi/fastp2p.py`` and docs/performance.md):
-with ``fast_p2p=True`` and no tracer/sanitizer attached, deterministic
-p2p traffic and fused pipeline compositions are *bit-identical* to the
-message-level reference — same results, same virtual times, same traffic
-counters, same oracle energy.  Wildcards (``ANY_SOURCE``/``ANY_TAG``)
-and probes degrade back to the mailbox; attaching a tracer keeps the
-reference path (with its spans) in force.
+with ``fast=True``, a constant-cost fabric and no tracer/sanitizer
+attached, deterministic p2p traffic and fused pipeline compositions are
+*bit-identical* to the message-level reference (``fast=False``) — same
+results, same virtual times, same traffic counters, same oracle energy.
+Wildcards (``ANY_SOURCE``/``ANY_TAG``) and probes degrade back to the
+mailbox; attaching a tracer composes the pipeline (with its spans).  On
+a jittered fabric the pipeline always composes, so a jittered job reads
+the same whichever way the pipeline could have run.
 """
 
 import numpy as np
@@ -15,18 +17,18 @@ import pytest
 from repro.cluster.machine import small_test_machine
 from repro.cluster.placement import LoadShape, place_ranks
 from repro.runtime.job import Job
-from repro.simmpi.comm import ANY_SOURCE, World
+from repro.simmpi.comm import ANY_SOURCE, Communicator, World
 from repro.simmpi.engine import Simulator
 from repro.simmpi.fabric import UniformFabric
 from repro.solvers.ime.ft_parallel import FtOptions, ime_ft_parallel_program
 from repro.solvers.ime.parallel import ImeOptions, ime_parallel_program
-from repro.workloads.generator import generate_system
+from repro.solvers.scalapack.pdgesv import ScalapackOptions, pdgesv_program
+from repro.workloads.generator import LinearSystem, generate_system
 
 
 def run_world(size, program, fast):
     """Run ``program(comm)`` per rank; return (results, now, traffic)."""
-    sim = Simulator()
-    sim.fast_p2p = fast
+    sim = Simulator(fast=fast)
     world = World(sim, size, fabric=UniformFabric(),
                   node_of=lambda r: r % 2)
     procs = [sim.spawn(program(comm), name=f"rank{comm.rank}")
@@ -57,13 +59,15 @@ def _assert_same(a, b):
         assert a == b
 
 
-def run_ime_job(n, ranks, fast, seed=0, ft_options=None, ime_options=None):
-    """Full-stack IMe job (energy accounting included) in one p2p mode."""
+def run_ime_job(n, ranks, fast, seed=0, ft_options=None, ime_options=None,
+                job_kwargs=None):
+    """Full-stack IMe job (energy accounting included) in one mode;
+    ``job_kwargs`` reach :class:`Job` (fabric jitter, seed)."""
     machine = small_test_machine(cores_per_socket=max(1, ranks // 2))
     placement = place_ranks(ranks, LoadShape.FULL, machine)
     system = generate_system(n, seed=seed)
-    job = Job(machine, placement)
-    job.sim.fast_p2p = fast
+    job = Job(machine, placement, **(job_kwargs or {}))
+    job.sim.fast = fast
 
     def program(ctx, comm):
         sys_arg = system if comm.rank == 0 else None
@@ -189,20 +193,88 @@ def test_ime_ft_job_bit_identical_with_recovery():
     assert report is not None and report["recovered_at_level"] == 40
 
 
+# ---------------------------------------------------------- jittered jobs
+# A jittered fabric draws its jitter in hop order; the fused pipeline
+# would draw it in a different order than the composed collectives.
+def _jittered_ime(monkeypatch, compose, ft_options=None):
+    """IMe (or ft-IMe) at (240, 16) on a jittered fabric with the fast
+    path on; ``compose`` forces every pipeline to run stage by stage."""
+    with monkeypatch.context() as patch:
+        if compose:
+            patch.setattr(Communicator, "pipeline",
+                          Communicator._pipeline_compose)
+        return run_ime_job(240, 16, True, ft_options=ft_options,
+                           job_kwargs={"fabric_jitter": 0.02, "seed": 3})[0]
+
+
+@pytest.mark.parametrize("ft_options", [
+    None, FtOptions(n_checksums=16, fail_rank=5, fail_level=100)],
+    ids=["ime", "ft-ime-mid-solve-failure"])
+def test_jittered_job_reads_the_same_as_composed_pipeline(monkeypatch,
+                                                          ft_options):
+    """On a jittered fabric the fast path must give the numbers of the
+    composed pipeline, which jittered monitored jobs run: a fused
+    pipeline there read 0.002716794891635534 s for IMe against the
+    composed 0.002716740851384245 s."""
+    fast = _jittered_ime(monkeypatch, False, ft_options)
+    composed = _jittered_ime(monkeypatch, True, ft_options)
+    assert fast.duration == composed.duration
+    assert fast.node_energy_j == composed.node_energy_j
+    assert fast.traffic == composed.traffic
+    if ft_options is None:
+        assert fast.duration == 0.002716740851384245
+    else:
+        _x, report = fast.rank_results[0]
+        assert report["recovered_at_level"] == 100
+
+
+def test_flows_match_mailbox_on_jittered_fabric():
+    """Flow records draw the fabric once per message in send order, as
+    the mailbox does, so even on a jittered fabric they are bit-identical
+    to it: pivoting pdgesv's row swaps run send/recv either way."""
+    rng = np.random.default_rng(0)
+    system = LinearSystem(a=rng.standard_normal((96, 96)),
+                          b=rng.standard_normal(96), seed=0)
+
+    def run(flows):
+        machine = small_test_machine(cores_per_socket=8)
+        placement = place_ranks(16, LoadShape.FULL, machine)
+        job = Job(machine, placement, fabric_jitter=0.02, seed=3)
+        assert not job.world._fused()
+        # Pretend the fabric is constant-cost so p2p rides flows.
+        job.world._constant_cost = flows
+
+        def program(ctx, comm):
+            sys_arg = system if comm.rank == 0 else None
+            return (yield from pdgesv_program(
+                ctx, comm, system=sys_arg, options=ScalapackOptions(nb=8)))
+
+        return job.run(program)
+
+    rf, rm = run(True), run(False)
+    assert_jobs_identical(rf, rm)
+    assert rf.traffic["messages"] > 0
+    np.testing.assert_allclose(rf.rank_results[0],
+                               np.linalg.solve(system.a, system.b),
+                               atol=1e-9)
+
+
 # ------------------------------------------------------------ traced runs
 def test_tracer_keeps_reference_path_and_spans():
-    """With a tracer attached the fused fast path must stand down: the
-    run keeps its per-stage spans and the same virtual timeline."""
+    """With a tracer attached the fused pipeline stands down: the traced
+    ``fast=True`` run keeps its per-stage collective spans and the same
+    virtual timeline as the untraced, fused one."""
     from repro.obs.tracer import SpanTracer
 
-    def run(fast):
+    def run(traced):
         machine = small_test_machine(cores_per_socket=2)
         placement = place_ranks(4, LoadShape.FULL, machine)
         system = generate_system(64, seed=3)
         job = Job(machine, placement)
-        job.sim.fast_p2p = fast
+        assert job.sim.fast and job.world._fused()
         tracer = SpanTracer()
-        job.attach_tracer(tracer)
+        if traced:
+            job.attach_tracer(tracer)
 
         def program(ctx, comm):
             sys_arg = system if comm.rank == 0 else None
@@ -211,11 +283,10 @@ def test_tracer_keeps_reference_path_and_spans():
 
         return job.run(program), tracer
 
-    rf, tracer_f = run(True)
-    rm, tracer_m = run(False)
-    assert rf.duration == rm.duration
-    assert rf.traffic == rm.traffic
-    spans_f = [(s.name, s.cat, s.t_start, s.t_end) for s in tracer_f.spans]
-    spans_m = [(s.name, s.cat, s.t_start, s.t_end) for s in tracer_m.spans]
-    assert spans_f == spans_m
-    assert any(cat == "coll" for _, cat, _, _ in spans_f)
+    traced, tracer = run(True)
+    untraced, _ = run(False)
+    assert traced.duration == untraced.duration
+    assert traced.traffic == untraced.traffic
+    # One gather and two bcast spans per level of the 64 on each rank.
+    colls = [s.name for s in tracer.spans if s.cat == "coll" and s.tid == 0]
+    assert colls.count("gather") == 64 and colls.count("bcast") == 128

@@ -334,7 +334,7 @@ class TestFast001:
                 return self._send_message(payload, dest, tag)
         """)
         assert rules_of(findings) == ["FAST001"]
-        assert "fast_p2p/fast_collectives" in findings[0].message
+        assert "consulting sim.fast" in findings[0].message
 
     def test_good_gated_ternary(self):
         findings = lint("""
@@ -343,7 +343,7 @@ class TestFast001:
             def bcast(self, payload, root):
                 world = self.world
                 return (fastcoll.fast_bcast(self, payload, root)
-                        if world.sim.fast_collectives
+                        if world.sim.fast
                         else self._bcast_message(payload, root))
         """)
         assert findings == []
@@ -355,7 +355,7 @@ class TestFast001:
             from repro.simmpi import fastp2p
 
             def _flow_send_ok(self, dest, tag):
-                return self.world.sim.fast_p2p and tag >= 0
+                return self.world.sim.fast and tag >= 0
 
             def send(self, payload, dest, tag):
                 if self._flow_send_ok(dest, tag):
@@ -363,6 +363,42 @@ class TestFast001:
                 return self._send_message(payload, dest, tag)
         """)
         assert findings == []
+
+    def test_good_gate_helper_chain(self):
+        # The _flow_send_ok -> World._fused pattern: a helper that calls
+        # a helper which reads the gate counts as gated too.
+        findings = lint("""
+            from repro.simmpi import fastp2p
+
+            def _fused(world):
+                return world.sim.fast and world.tracer is None
+
+            def _flow_send_ok(self, dest, tag):
+                return tag >= 0 and _fused(self.world)
+
+            def send(self, payload, dest, tag):
+                if self._flow_send_ok(dest, tag):
+                    return fastp2p.fast_send(self, payload, dest, tag)
+                return self._send_message(payload, dest, tag)
+        """)
+        assert findings == []
+
+    def test_bad_helper_chain_without_gate(self):
+        findings = lint("""
+            from repro.simmpi import fastp2p
+
+            def _quiet(world):
+                return world.tracer is None
+
+            def _flow_send_ok(self, dest, tag):
+                return tag >= 0 and _quiet(self.world)
+
+            def send(self, payload, dest, tag):
+                if self._flow_send_ok(dest, tag):
+                    return fastp2p.fast_send(self, payload, dest, tag)
+                return self._send_message(payload, dest, tag)
+        """)
+        assert rules_of(findings) == ["FAST001"]
 
     def test_non_fast_importers_exempt(self):
         findings = lint("""

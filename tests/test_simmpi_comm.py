@@ -384,6 +384,42 @@ def test_dup_creates_isolated_channel():
     assert results[1] == ("on-world", "on-dup")
 
 
+def test_comm_world_places_each_rank_once():
+    """COMM_WORLD's handles share one member list and one node list, so
+    building it asks the placement once per rank, not once per pair."""
+    size = 1296
+    calls = []
+
+    def node_of(rank):
+        calls.append(rank)
+        return rank // 36
+
+    comms = World(Simulator(), size, node_of=node_of).comm_world()
+    assert len(calls) <= size
+    assert all(c._nodes is comms[0]._nodes for c in comms)
+    assert comms[5].node_of(100) == 2
+    group = comms[0].group()
+    group.append(-1)  # group() hands out a copy
+    assert comms[1].group() == list(range(size))
+
+
+def test_split_members_share_their_lists():
+    """Every member of one split color refers to the same member and
+    node lists; other colors get their own."""
+    def program(comm):
+        sub = yield from comm.split(color=comm.rank % 2, key=-comm.rank)
+        return sub
+
+    results, _, _ = run_world(6, program, node_of=lambda rank: rank // 3)
+    evens, odds = results[0::2], results[1::2]
+    for members in (evens, odds):
+        assert all(s._group is members[0]._group for s in members)
+        assert all(s._nodes is members[0]._nodes for s in members)
+    assert evens[0]._group == [4, 2, 0] and evens[0]._nodes == [1, 0, 0]
+    assert odds[0]._group == [5, 3, 1] and odds[0]._nodes == [1, 1, 0]
+    assert [s.rank for s in evens] == [2, 1, 0]
+
+
 # ----------------------------------------------------------- traffic stats
 def test_traffic_stats_count_messages_and_bytes():
     def program(comm):

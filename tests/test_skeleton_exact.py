@@ -37,8 +37,7 @@ def run_full_ime(system, ranks, fast):
     machine = _machine(ranks)
     placement = place_ranks(ranks, LoadShape.FULL, machine)
     job = Job(machine, placement)
-    job.sim.fast_collectives = fast
-    job.sim.fast_p2p = fast
+    job.sim.fast = fast
 
     def program(ctx, comm):
         sys_arg = system if comm.rank == 0 else None
@@ -51,8 +50,7 @@ def run_full_scalapack(system, ranks, nb, fast):
     machine = _machine(ranks)
     placement = place_ranks(ranks, LoadShape.FULL, machine)
     job = Job(machine, placement)
-    job.sim.fast_collectives = fast
-    job.sim.fast_p2p = fast
+    job.sim.fast = fast
     options = ScalapackOptions(nb=nb)
 
     def program(ctx, comm):
