@@ -10,10 +10,9 @@ test: docs-check lint validate-configs doctest
 	pytest tests/
 
 # Simulation-correctness static analyzer (see docs/static-analysis.md).
-# Fails only on findings not grandfathered in tools/lint_baseline.json.
+# Fails on any finding.
 lint:
-	PYTHONPATH=src python -m repro.cli lint \
-		--baseline tools/lint_baseline.json src/repro tools examples
+	PYTHONPATH=src python -m repro.cli lint src/repro tools examples
 
 # Runnable examples embedded in the reference docstrings.
 doctest:

@@ -46,7 +46,7 @@ MODELED_FIELDS = ("virtual_s", "messages", "bytes", "total_energy_j")
 class BenchPoint:
     """One benchmarked configuration."""
 
-    solver: str  # "ime" | "ime-ft" | "scalapack" | "scalapack-skel"
+    solver: str  # "ime" | "ime-ft" | "scalapack"
     #            # | "ime-xskel" | "scalapack-xskel" (exact skeletons)
     n: int
     ranks: int
@@ -60,12 +60,12 @@ class BenchPoint:
         return f"{self.solver}-n{self.n}-p{self.ranks}"
 
 
-#: ``scalapack-skel`` is the headline point: the ScaLAPACK n = 4320,
-#: 16-rank communication skeleton (full per-column pivot chain, no
-#: numerics — see :mod:`repro.obs.symbolic`), which isolates the
-#: collective engine the fast path accelerates.  The real-numerics
-#: points keep the end-to-end trajectory honest: there the dense-solver
-#: flops on the critical path bound the achievable speedup.
+#: ``scalapack-xskel`` is the headline point: the ScaLAPACK n = 4320,
+#: 16-rank exact skeleton (pdgesv's complete schedule, no numerics —
+#: see :mod:`repro.obs.symbolic`), which isolates the collective engine
+#: the fast path accelerates.  The real-numerics points keep the
+#: end-to-end trajectory honest: there the dense-solver flops on the
+#: critical path bound the achievable speedup.
 DEFAULT_POINTS: tuple[BenchPoint, ...] = (
     BenchPoint("ime", 1080, 4, quick=True),
     BenchPoint("ime-ft", 1080, 4, quick=True),
@@ -75,7 +75,7 @@ DEFAULT_POINTS: tuple[BenchPoint, ...] = (
     BenchPoint("ime", 2160, 16),
     BenchPoint("scalapack", 2160, 16, nb=48, quick=True),
     BenchPoint("scalapack", 4320, 16, nb=48),
-    BenchPoint("scalapack-skel", 4320, 16, nb=48),
+    BenchPoint("scalapack-xskel", 4320, 16, nb=48),
 )
 
 #: ``repro bench --skeleton``: the paper's largest matrix at Table-1 rank
@@ -128,16 +128,6 @@ def _make_program(point: BenchPoint, system):
             sys_arg = system if comm.rank == 0 else None
             return (yield from pdgesv_program(ctx, comm, system=sys_arg,
                                               options=options))
-    elif point.solver == "scalapack-skel":
-        from repro.obs.symbolic import (
-            SymbolicOptions,
-            scalapack_skeleton_program,
-        )
-        options = SymbolicOptions(nb=point.nb or 64, pivot_per_column=True)
-
-        def program(ctx, comm):
-            return (yield from scalapack_skeleton_program(
-                ctx, comm, n=point.n, options=options))
     elif point.solver in ("ime-xskel", "scalapack-xskel"):
         from repro.obs.symbolic import (
             EXACT_SKELETON_PROGRAMS,

@@ -176,7 +176,6 @@ def cmd_trace(args) -> int:
         seed=args.seed,
         chunks=args.chunks,
         nb=args.nb,
-        capture_p2p=not args.no_p2p,
     )
     path = write_chrome_trace(tracer, args.out)
     s = tracer.summary()
@@ -369,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="trace a skeleton run to Chrome Trace Format JSON",
-        description=("Replay a solver's communication structure under the "
+        help="trace an exact-skeleton run to Chrome Trace Format JSON",
+        description=("Replay a solver's exact schedule under the "
                      "monitoring protocol with the observability tracer "
                      "attached, and export the spans to Chrome Trace "
                      "Event Format (see docs/observability.md)."),
@@ -379,12 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
                    default="ime")
     p.add_argument("--n", type=int, default=8640,
                    help="matrix dimension (paper scale is fine: the "
-                        "skeleton samples the level loop)")
+                        "exact skeleton replays no numerics, and "
+                        "--chunks samples its level loop)")
     p.add_argument("--ranks", type=int, default=16)
     p.add_argument("--nodes", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunks", type=int, default=48,
-                   help="representative level/panel samples to replay")
+                   help="level/panel blocks to replay: each replays one "
+                        "level's (panel's) complete communication and "
+                        "charges the summed flops of the levels it "
+                        "stands for")
     p.add_argument("--nb", type=int, default=64,
                    help="ScaLAPACK block size")
     p.add_argument("--out", default="trace.json",
@@ -392,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true",
                    help="also print the per-phase energy attribution "
                         "and metrics tables")
-    p.add_argument("--no-p2p", action="store_true",
-                   help="drop point-to-point spans (smaller traces)")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(

@@ -4,12 +4,10 @@
     repro lint --format=json src/repro
     repro lint --format=sarif src/repro > lint.sarif
     repro lint --jobs 4 src/repro
-    repro lint --baseline tools/lint_baseline.json src/repro
-    repro lint --write-baseline tools/lint_baseline.json src/repro
     repro lint --explain UNIT002
 
-Exit status 0 when clean (after suppressions and baseline), 1 when new
-findings remain or the baseline is stale, 2 on usage errors.
+Exit status 0 when clean (after suppressions), 1 when any finding
+remains, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -17,14 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    stale_entries,
-    write_baseline,
-)
 from repro.lint.registry import ALL_RULES, explain
 from repro.lint.runner import LintOptions, lint_paths
 from repro.lint.sarif import to_sarif
@@ -56,16 +47,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="ignore the incremental result cache for this run",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="grandfather findings recorded in FILE; fail on new findings "
-             "and on stale baseline entries",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write the current findings to FILE as the new baseline "
-             "and exit 0",
-    )
-    parser.add_argument(
         "--explain", default=None, metavar="RULEID",
         help="print a rule's rationale with a violating/fixed example "
              "pair, then exit",
@@ -95,35 +76,11 @@ def run_from_args(args: argparse.Namespace) -> int:
     result = lint_paths(list(args.paths), options)
     findings = result.findings
 
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), findings)
-        print(f"wrote {len(findings)} finding(s) to {args.write_baseline}")
-        return 0
-
-    baselined = 0
-    stale: list[tuple[str, str, str, int]] = []
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"baseline file not found: {baseline_path}",
-                  file=sys.stderr)
-            return 2
-        baseline = load_baseline(baseline_path)
-        stale = stale_entries(findings, baseline)
-        before = len(findings)
-        findings = apply_baseline(findings, baseline)
-        baselined = before - len(findings)
-
     if args.format == "json":
         payload = {
             "files_checked": result.files_checked,
             "cache_hits": result.cache_hits,
             "cache_misses": result.cache_misses,
-            "baselined": baselined,
-            "stale_baseline_entries": [
-                {"path": p, "rule": r, "text": t, "count": n}
-                for p, r, t, n in stale
-            ],
             "findings": [f.to_json() for f in findings],
         }
         print(json.dumps(payload, indent=2))
@@ -136,18 +93,10 @@ def run_from_args(args: argparse.Namespace) -> int:
                 print(f"    {finding.text}")
         summary = (f"{len(findings)} finding(s) in "
                    f"{result.files_checked} file(s)")
-        if baselined:
-            summary += f" ({baselined} baselined)"
         if result.cache_hits:
             summary += f" [{result.cache_hits} cached]"
         print(summary)
-        for path, rule, text, count in stale:
-            print(f"stale baseline entry ({count}x): {path}: {rule} {text}",
-                  file=sys.stderr)
-        if stale:
-            print("baseline is stale — rewrite it with --write-baseline",
-                  file=sys.stderr)
-    return 1 if findings or stale else 0
+    return 1 if findings else 0
 
 
 def main(argv: list[str] | None = None) -> int:

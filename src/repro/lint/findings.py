@@ -1,11 +1,4 @@
-"""Findings: what a lint rule reports and how it is keyed.
-
-A finding's :meth:`Finding.key` deliberately excludes the line number —
-the baseline ratchet (:mod:`repro.lint.baseline`) matches findings by
-``(path, rule, source-line text)`` so grandfathered findings survive
-unrelated edits that shift line numbers, while any *new* occurrence of
-the same defect on a new line still fails CI once the old one is gone.
-"""
+"""Findings: what a lint rule reports, and their report order."""
 
 from __future__ import annotations
 
@@ -21,15 +14,11 @@ class Finding:
     col: int
     rule: str
     message: str
-    #: stripped source line the finding points at (the baseline key)
+    #: stripped source line the finding points at
     text: str = ""
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def key(self) -> tuple[str, str, str]:
-        """Line-number-independent identity used by the baseline ratchet."""
-        return (self.path, self.rule, self.text)
 
     def to_json(self) -> dict:
         return {

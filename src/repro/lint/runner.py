@@ -7,8 +7,7 @@ computed — the simcall-name inference (SIM001), the call graph, and the
 interprocedural return-dimension (UNIT) and return-taint (DET1xx)
 summaries; only then do the per-module rule passes execute.
 Suppressions (``# repro: allow[RULE]``) are applied before anything is
-cached or reported, so a suppressed finding never reaches the baseline
-or the output.
+cached or reported, so a suppressed finding never reaches the output.
 
 Per-file rule passes are **incremental**: results are cached
 content-addressed by the file's source, the analyzer's own sources,

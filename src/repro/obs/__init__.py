@@ -12,7 +12,7 @@ One import surface for the four pieces documented in
   ``chrome://tracing`` or https://ui.perfetto.dev);
 * :mod:`repro.obs.report` — the plain-text per-phase energy attribution
   and metrics tables;
-* :mod:`repro.obs.symbolic` — paper-scale skeleton workloads and the
+* :mod:`repro.obs.symbolic` — the exact solver skeletons and the
   :func:`~repro.obs.symbolic.run_traced` driver behind ``repro trace``.
 """
 
@@ -24,13 +24,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricKey, MetricsRegistry
 from repro.obs.report import energy_report, metrics_report, phase_energy
-from repro.obs.symbolic import (
-    SKELETON_PROGRAMS,
-    SymbolicOptions,
-    ime_skeleton_program,
-    run_traced,
-    scalapack_skeleton_program,
-)
+from repro.obs.symbolic import SymbolicOptions, run_traced
 from repro.obs.tracer import (
     ENERGY_SNAPSHOT_CATS,
     CounterSample,
@@ -46,7 +40,6 @@ __all__ = [
     "InstantEvent",
     "MetricKey",
     "MetricsRegistry",
-    "SKELETON_PROGRAMS",
     "Span",
     "SpanTracer",
     "SymbolicOptions",
@@ -54,11 +47,9 @@ __all__ = [
     "chrome_trace_events",
     "dumps_chrome_trace",
     "energy_report",
-    "ime_skeleton_program",
     "metrics_report",
     "phase_energy",
     "run_traced",
-    "scalapack_skeleton_program",
     "trace_document",
     "write_chrome_trace",
 ]

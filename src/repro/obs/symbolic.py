@@ -1,52 +1,43 @@
-"""Symbolic trace workloads: paper-scale traces without paper-scale flops.
+"""Exact skeletons: the solvers' complete schedules without the numerics.
 
-``repro trace`` wants a per-phase trace of IMe or ScaLAPACK at the
-paper's problem sizes (n up to 25920).  Running the real numerics at
-that scale is out of reach for the DES validation machinery, so the
-skeleton programs here replay each solver's *communication structure*
-instead:
-
-* every phase of the real rank program appears under the same span name
-  (``ime:initime`` … ``scalapack:substitution``), so skeleton traces and
-  real small-n traces render identically;
-* collectives are the real simmpi operations — payload sizes come from
-  the published cost models, carried either by small representative
-  payloads or by the ``nbytes`` override of ``send``/``bcast``;
-* the level/panel loop is sampled at ``chunks`` representative points;
-  each sample runs one level's (panel's) communication pattern and
-  charges the **exact** summed flops of the levels it stands for, so
-  the compute/energy accounting matches the closed-form totals even
-  though only ``chunks`` communication rounds execute.
-
-The trade-off is explicit: virtual compute time and energy are exact
-(per the cost models), while communication time is sampled — a
-structural skeleton, not a calibrated performance prediction (that is
-what :mod:`repro.perfmodel.analytic` is for).
-
-Skeletons run under :func:`repro.core.monitoring.monitored_program`
-like any solver, so traces include the monitoring brackets.
-
-Exact skeletons ("skeleton at paper scale")
--------------------------------------------
-The *sampled* skeletons above trade communication fidelity for speed.
-The **exact** skeletons (:func:`ime_exact_skeleton_program`,
-:func:`scalapack_exact_skeleton_program`) make the opposite trade: they
-issue the *complete* communication schedule of the full solver — every
-collective, in order, with bitwise-identical payload sizes (via the
-``nbytes`` overrides) — and charge bitwise-identical flops through the
-rank context, while skipping the numerics entirely.  Under the same
-Job, **every modeled quantity — virtual time, message/byte counts,
-per-(node, domain) energy — is bitwise equal to the full solver's**,
-at any size both can reach; only the returned solution is absent.
-This is the contract ``tests/test_skeleton_exact.py`` pins and
-``repro bench --skeleton`` exploits to reach the paper's n = 34560 on
-one machine.
+An *exact* skeleton (:func:`ime_exact_skeleton_program`,
+:func:`scalapack_exact_skeleton_program`) issues the full solver's
+communication schedule — every collective, in order, with
+bitwise-identical payload sizes (via the ``nbytes`` overrides) — and
+charges bitwise-identical flops through the rank context, while skipping
+the numerics entirely.  Under the same Job, **every modeled quantity —
+virtual time, message/byte counts, per-(node, domain) energy — is
+bitwise equal to the full solver's**, at any size both can reach; only
+the returned solution is absent.  This is the contract
+``tests/test_skeleton_exact.py`` pins and ``repro bench --skeleton``
+exploits to reach the paper's n = 34560 on one machine.
 
 Scope: IMe's schedule is data-independent, so the IMe exact skeleton
 matches on *any* input system.  ScaLAPACK's row swaps depend on the
 pivot choices, so its exact skeleton models the no-swap trajectory
 (``piv == j`` at every column) — exactly what the full solver produces
 on column diagonally dominant systems, which the equivalence tests use.
+
+Sampling (``repro trace``)
+--------------------------
+A trace records one span per collective per rank, so a trace of every
+level at paper scale is too large to view.  ``SymbolicOptions.chunks``
+samples the level (IMe) or panel (ScaLAPACK) loop: the loop is split
+into at most ``chunks`` contiguous blocks, and each block replays the
+complete communication of its middle level or panel — for ScaLAPACK the
+per-column pivot chains, L11, U12 and L21 with their exact wire sizes —
+and charges the summed flops of every level or panel it stands for.  The
+substitution sweeps sample the same blocks.  Compute time and energy
+therefore match the unsampled run, while communication time is that of
+the sampled rounds only.  A block of one level charges exactly what the
+unsampled loop charges, so ``chunks`` at least the loop length
+reproduces the unsampled run bitwise.  ``chunks=None`` (the default)
+runs every level.
+
+Skeletons run under :func:`repro.core.monitoring.monitored_program`
+like any solver, so traces include the monitoring brackets, and every
+phase appears under the real solver's span name (``ime:initime`` …
+``scalapack:substitution``).
 """
 
 from __future__ import annotations
@@ -67,7 +58,6 @@ from repro.solvers.scalapack.blockcyclic import (
     numroc,
     owner_of,
 )
-from repro.solvers.scalapack.costmodel import ScalapackCostModel
 from repro.solvers.scalapack.grid import ProcessGrid
 
 FLOAT_BYTES = 8
@@ -77,20 +67,11 @@ FLOAT_BYTES = 8
 class SymbolicOptions:
     """Tunables of the skeleton replay."""
 
-    #: representative level/panel samples (each stands for a block of
-    #: consecutive levels and charges their exact summed flops)
-    chunks: int = 48
-    #: ScaLAPACK block size (panel cadence + payload sizes)
+    #: ScaLAPACK block size (must match the solver's to be its twin)
     nb: int = 64
-    #: charge the cost-model flops through the rank context
-    charge_compute: bool = True
-    #: replay the ScaLAPACK pivot chain for *every* column instead of one
-    #: sampled round per chunk.  The pivot chain is 3 small collectives
-    #: per column (∝ n regardless of nb) and dominates the solver's
-    #: message count, so this makes the skeleton communication-complete
-    #: — the configuration ``repro bench`` uses to time the collective
-    #: engine at paper scale.
-    pivot_per_column: bool = False
+    #: sample the level/panel loop at this many blocks (``None``: every
+    #: level, the exact schedule)
+    chunks: int | None = None
 
 
 def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
@@ -100,165 +81,27 @@ def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
+def _sample(flops, chunks: int | None):
+    """The levels a loop replays and the flops each one charges.
+
+    ``chunks=None`` keeps every level with its own flops.  Otherwise
+    each block of :func:`_chunk_bounds` is replayed at its middle level
+    and charges the block's summed flops (one level's sum is that
+    level's flops, bit for bit).
+    """
+    if chunks is None:
+        return range(len(flops)), flops
+    bounds = _chunk_bounds(len(flops), chunks)
+    sums = np.add.reduceat(np.asarray(flops, dtype=np.float64),
+                           [lo for lo, _ in bounds])
+    return [(lo + hi - 1) // 2 for lo, hi in bounds], sums.tolist()
+
+
 def _maxloc(a: tuple, b: tuple) -> tuple:
     return a if (a[0], -a[1]) >= (b[0], -b[1]) else b
 
 
 # ------------------------------------------------------------------- IMe
-def ime_skeleton_program(ctx, comm, n: int,
-                         options: SymbolicOptions | None = None):
-    """Rank program replaying IMeP's communication structure at size n."""
-    opts = options or SymbolicOptions()
-    rank, size, master = comm.rank, comm.size, 0
-    cm = ImeCostModel()
-    level_flops = cm.level_flops_per_rank(n, size)
-    shard_floats = max(1, n // size)
-    shard_bytes = FLOAT_BYTES * n * shard_floats  # one table-column shard
-
-    # INITIME: the table leaves the master once, one shard per slave.
-    with ctx.span("ime:initime", n=n, symbolic=True):
-        if rank == master:
-            for dest in range(1, size):
-                yield from comm.send(0, dest=dest, tag=90,
-                                     nbytes=shard_bytes)
-            if opts.charge_compute:
-                # table scaling: n² divisions
-                yield from ctx.compute(flops=float(n) * n,
-                                       dram_bytes=8.0 * n * n)
-        else:
-            yield from comm.recv(source=master, tag=90)
-
-    # Levels, sampled at `chunks` representative points.
-    row_shard = np.zeros(shard_floats)
-    with ctx.span("ime:levels", levels=n, chunks=opts.chunks):
-        for lo, hi in _chunk_bounds(n, opts.chunks):
-            mid = (lo + hi - 1) // 2
-            # (1) last-row gather to the master (real shard payloads).
-            yield from comm.gather(row_shard, root=master)
-            # (2) auxiliary (ĥ_l, p) broadcast — two floats.
-            aux = (1.0, 1.0) if rank == master else None
-            yield from comm.bcast(aux, root=master)
-            # (3) pivot-column broadcast from its owner, n−l floats.
-            owner = mid % size
-            col = 0.0 if rank == owner else None
-            yield from comm.bcast(col, root=owner,
-                                  nbytes=FLOAT_BYTES * (n - mid))
-            # (4) the chunk's exact per-rank inhibition flops.
-            if opts.charge_compute:
-                yield from ctx.compute(flops=float(level_flops[lo:hi].sum()))
-
-    with ctx.span("ime:solution"):
-        x = 0.0 if rank == master else None
-        yield from comm.bcast(x, root=master, nbytes=FLOAT_BYTES * n)
-    return None
-
-
-# -------------------------------------------------------------- ScaLAPACK
-def scalapack_skeleton_program(ctx, comm, n: int,
-                               options: SymbolicOptions | None = None):
-    """Rank program replaying block-cyclic LU + substitution at size n."""
-    opts = options or SymbolicOptions()
-    nb = opts.nb
-    nprocs = comm.size
-    grid = ProcessGrid.squarest(nprocs)
-    myrow, mycol = grid.coords(comm.rank)
-    row_comm = yield from comm.split(color=myrow, key=mycol)
-    col_comm = yield from comm.split(color=mycol, key=myrow)
-    cm = ScalapackCostModel(nb=nb)
-    panel_flops = cm.level_flops_per_rank(n, nprocs)
-    npanels = cm.n_panels(n)
-
-    with ctx.span("scalapack:distribute", nb=nb, symbolic=True):
-        shard_bytes = int(FLOAT_BYTES * n * n / nprocs)
-        if comm.rank == 0:
-            for dest in range(1, nprocs):
-                yield from comm.send(0, dest=dest, tag=91,
-                                     nbytes=shard_bytes)
-        else:
-            yield from comm.recv(source=0, tag=91)
-        b = 0.0 if comm.rank == 0 else None
-        yield from comm.bcast(b, root=0, nbytes=FLOAT_BYTES * n)
-
-    with ctx.span("scalapack:factorize", nb=nb, panels=npanels,
-                  chunks=opts.chunks):
-        for lo, hi in _chunk_bounds(npanels, opts.chunks):
-            kblock = (lo + hi - 1) // 2
-            k0 = kblock * nb
-            kb = min(nb, n - k0)
-            remaining = max(n - k0 - kb, 0)
-            pck = kblock % grid.npcol
-            prk = kblock % grid.nprow
-            if opts.pivot_per_column:
-                # Full-fidelity pivot chain: max-loc down the column,
-                # pivot index along the row, pivot row down the column —
-                # once per column of the chunk's panel range, exactly as
-                # pdgesv issues them.
-                for j in range(lo * nb, min(hi * nb, n)):
-                    pcj = (j // nb) % grid.npcol
-                    prj = (j // nb) % grid.nprow
-                    if mycol == pcj:
-                        best = yield from col_comm.allreduce(
-                            (1.0, j), op=_maxloc
-                        )
-                        piv = best[1]
-                    else:
-                        piv = None
-                    yield from row_comm.bcast(piv, root=pcj)
-                    prow = 0.0 if myrow == prj else None
-                    yield from col_comm.bcast(
-                        prow, root=prj,
-                        nbytes=max(FLOAT_BYTES,
-                                   FLOAT_BYTES * (n - j) // grid.npcol),
-                    )
-            else:
-                # pivot chain sample: max-loc down the column, pivot
-                # index along the row
-                if mycol == pck:
-                    best = yield from col_comm.allreduce(
-                        (1.0, k0), op=_maxloc
-                    )
-                    piv = best[1]
-                else:
-                    piv = None
-                yield from row_comm.bcast(piv, root=pck)
-            # U12 down process columns, L21 along process rows
-            u12 = 0.0 if myrow == prk else None
-            yield from col_comm.bcast(
-                u12, root=prk,
-                nbytes=max(FLOAT_BYTES,
-                           FLOAT_BYTES * kb * remaining // grid.npcol),
-            )
-            l21 = 0.0 if mycol == pck else None
-            yield from row_comm.bcast(
-                l21, root=pck,
-                nbytes=max(FLOAT_BYTES,
-                           FLOAT_BYTES * kb * remaining // grid.nprow),
-            )
-            if opts.charge_compute:
-                yield from ctx.compute(flops=float(panel_flops[lo:hi].sum()))
-
-    with ctx.span("scalapack:substitution"):
-        for lo, hi in _chunk_bounds(npanels, opts.chunks):
-            kblock = (lo + hi - 1) // 2
-            kb = min(nb, n - kblock * nb)
-            pck = kblock % grid.npcol
-            prk = kblock % grid.nprow
-            yield from row_comm.reduce(0.0, root=pck)
-            blk = 0.0 if comm.rank == grid.rank_of(prk, pck) else None
-            yield from comm.bcast(blk, root=grid.rank_of(prk, pck),
-                                  nbytes=FLOAT_BYTES * kb)
-        if opts.charge_compute:
-            yield from ctx.compute(flops=2.0 * n * n / nprocs)
-    return None
-
-
-SKELETON_PROGRAMS = {
-    "ime": ime_skeleton_program,
-    "scalapack": scalapack_skeleton_program,
-}
-
-
-# ------------------------------------------------- exact skeletons
 def ime_exact_skeleton_program(ctx, comm, n: int,
                                options: SymbolicOptions | None = None):
     """IMeP's *complete* communication schedule, no numerics.
@@ -267,9 +110,8 @@ def ime_exact_skeleton_program(ctx, comm, n: int,
     under the same Job: every collective is issued in the same order with
     the same modeled wire size, and the same flops are charged in the
     same order, so virtual time, traffic, and energy are bitwise equal —
-    for any input system (IMe's schedule is data-independent).  Only
-    ``chunks``/``pivot_per_column`` of ``options`` are ignored: the exact
-    skeleton is full-fidelity by construction.
+    for any input system (IMe's schedule is data-independent).  With
+    ``options.chunks`` the level loop is sampled (module docstring).
     """
     opts = options or SymbolicOptions()
     rank, size, master = comm.rank, comm.size, 0
@@ -286,16 +128,17 @@ def ime_exact_skeleton_program(ctx, comm, n: int,
         else:
             shards = sizes = None
         yield from comm.scatter(shards, root=master, nbytes=sizes)
-        if rank == master and opts.charge_compute:
+        if rank == master:
             yield from ctx.compute(flops=float(n) * n, dram_bytes=8.0 * n * n)
 
-    level_flops = ImeCostModel.level_flops_per_rank(n, size)
+    levels, level_flops = _sample(ImeCostModel.level_flops_per_rank(n, size),
+                                  opts.chunks)
     n_local = len(range(rank, n, size))
     m_local = np.zeros(n_local)  # the last-row shard (real array: the
     #                              gather sizes itself off the payloads)
 
-    with ctx.span("ime:levels", levels=n):
-        for level in range(n):
+    with ctx.span("ime:levels", levels=n, chunks=opts.chunks):
+        for level, flops in zip(levels, level_flops):
             owner = level % size
             # (ĥ_l, p) is a 2-float tuple either way; the pivot column's
             # active part is n − level floats, carried by the stage-level
@@ -307,12 +150,40 @@ def ime_exact_skeleton_program(ctx, comm, n: int,
                 ("bcast", master, _aux),
                 ("bcast", owner, _chat, FLOAT_BYTES * (n - level)),
             ))
-            if opts.charge_compute:
-                yield from ctx.compute(flops=float(level_flops[level]))
+            yield from ctx.compute(flops=float(flops))
 
     with ctx.span("ime:solution"):
         pass  # the real epilogue is master-local (no comm, no charge)
     return None
+
+
+# -------------------------------------------------------------- ScaLAPACK
+def _panel_flops(n: int, nb: int, grid: ProcessGrid, myrow: int, mycol: int,
+                 grows: np.ndarray, gcols: np.ndarray) -> list[float]:
+    """This rank's flops per panel, each summed in pdgesv's float order:
+    the panel columns, then the U12 TRSM, then the trailing GEMM."""
+    nlrow, nlcol = len(grows), len(gcols)
+    out = []
+    for k0 in range(0, n, nb):
+        kb = min(nb, n - k0)
+        kblock = k0 // nb
+        panel_flops = 0.0
+        if mycol == kblock % grid.npcol:
+            i1s = np.searchsorted(grows, np.arange(k0, k0 + kb),
+                                  side="right")
+            for t in range(kb):
+                i1 = int(i1s[t])
+                if i1 < nlrow:
+                    rest = kb - t - 1
+                    panel_flops += 2.0 * (nlrow - i1) * (rest + 0.5)
+        c_r = int(np.searchsorted(gcols, k0 + kb))
+        if myrow == kblock % grid.nprow and c_r < nlcol:
+            panel_flops += float(kb) * kb * (nlcol - c_r)
+        r_b = int(np.searchsorted(grows, k0 + kb))
+        if r_b < nlrow and c_r < nlcol:
+            panel_flops += 2.0 * (nlrow - r_b) * kb * (nlcol - c_r)
+        out.append(panel_flops)
+    return out
 
 
 def scalapack_exact_skeleton_program(ctx, comm, n: int,
@@ -326,7 +197,8 @@ def scalapack_exact_skeleton_program(ctx, comm, n: int,
     dominant systems produce): the same collectives with the same
     modeled wire sizes, and the same per-panel flops accumulated in the
     same float order.  ``options.nb`` must match the solver's block
-    size; ``chunks``/``pivot_per_column`` are ignored.
+    size; with ``options.chunks`` the panel loop and the substitution
+    sweeps are sampled (module docstring).
     """
     opts = options or SymbolicOptions()
     nb = opts.nb
@@ -355,21 +227,18 @@ def scalapack_exact_skeleton_program(ctx, comm, n: int,
     grows = global_indices(n, nb, myrow, grid.nprow)
     gcols = global_indices(n, nb, mycol, grid.npcol)
     nlrow, nlcol = len(grows), len(gcols)
+    kblocks, chunk_flops = _sample(
+        _panel_flops(n, nb, grid, myrow, mycol, grows, gcols), opts.chunks)
 
-    with ctx.span("scalapack:factorize", nb=nb):
-        for k0 in range(0, n, nb):
+    with ctx.span("scalapack:factorize", nb=nb, chunks=opts.chunks):
+        for kblock, panel_flops in zip(kblocks, chunk_flops):
+            k0 = kblock * nb
             kb = min(nb, n - k0)
-            kblock = k0 // nb
             pck = kblock % grid.npcol
             prk = kblock % grid.nprow
-            panel_flops = 0.0
-            if mycol == pck:
-                i1s = np.searchsorted(grows, np.arange(k0, k0 + kb),
-                                      side="right")
 
             # ---- panel: pivot chain + column scale, once per column
             for j in range(k0, k0 + kb):
-                t = j - k0
                 if mycol == pck:
                     # Max-loc candidates are 2-tuples either way; all
                     # (1.0, j) folds to piv == j — the no-swap branch.
@@ -384,11 +253,7 @@ def scalapack_exact_skeleton_program(ctx, comm, n: int,
                     src_pr = owner_of(j, nb, grid.nprow)
                     prow_ph = 0.0 if myrow == src_pr else None
                     yield from col_comm.bcast(prow_ph, root=src_pr,
-                                              nbytes=FLOAT_BYTES * (kb - t))
-                    i1 = int(i1s[t])
-                    if i1 < nlrow:
-                        rest = kb - t - 1
-                        panel_flops += 2.0 * (nlrow - i1) * (rest + 0.5)
+                                              nbytes=FLOAT_BYTES * (k0 + kb - j))
 
             # ---- U12: L11 along the prk process row, U12 down columns
             c_r = int(np.searchsorted(gcols, k0 + kb))
@@ -396,28 +261,23 @@ def scalapack_exact_skeleton_program(ctx, comm, n: int,
                 l11_ph = 0.0 if mycol == pck else None
                 yield from row_comm.bcast(l11_ph, root=pck,
                                           nbytes=FLOAT_BYTES * kb * kb)
-                if c_r < nlcol:
-                    panel_flops += float(kb) * kb * (nlcol - c_r)
             u12_ph = 0.0 if myrow == prk else None
             yield from col_comm.bcast(
                 u12_ph, root=prk,
                 nbytes=FLOAT_BYTES * kb * max(nlcol - c_r, 0))
 
-            # ---- L21 along process rows, then the trailing GEMM charge
+            # ---- L21 along process rows, then the panel's flop charge
             r_b = int(np.searchsorted(grows, k0 + kb))
             l21_ph = 0.0 if mycol == pck else None
             yield from row_comm.bcast(
                 l21_ph, root=pck,
                 nbytes=FLOAT_BYTES * max(nlrow - r_b, 0) * kb)
-            if r_b < nlrow and c_r < nlcol:
-                panel_flops += 2.0 * (nlrow - r_b) * kb * (nlcol - c_r)
 
-            if opts.charge_compute and panel_flops:
+            if panel_flops:
                 yield from ctx.compute(flops=panel_flops)
 
     with ctx.span("scalapack:substitution"):
-        nblocks = (n + nb - 1) // nb
-        for kblock in range(nblocks):
+        for kblock in (*kblocks, *reversed(kblocks)):
             kb = min(nb, n - kblock * nb)
             prk = kblock % grid.nprow
             pck = kblock % grid.npcol
@@ -426,17 +286,7 @@ def scalapack_exact_skeleton_program(ctx, comm, n: int,
             root = grid.rank_of(prk, pck)
             blk = np.zeros(kb) if comm.rank == root else None
             yield from comm.bcast(blk, root=root)
-        for kblock in range(nblocks - 1, -1, -1):
-            kb = min(nb, n - kblock * nb)
-            prk = kblock % grid.nprow
-            pck = kblock % grid.npcol
-            if myrow == prk:
-                yield from row_comm.reduce(np.zeros(kb), root=pck)
-            root = grid.rank_of(prk, pck)
-            blk = np.zeros(kb) if comm.rank == root else None
-            yield from comm.bcast(blk, root=root)
-        if opts.charge_compute:
-            yield from ctx.compute(flops=2.0 * n * n / nprocs)
+        yield from ctx.compute(flops=2.0 * n * n / nprocs)
     return None
 
 
@@ -465,13 +315,7 @@ def run_skeleton_job(
     the full solver's modeled duration, traffic, and energy — see the
     module docstring for the equality contract and its ScaLAPACK scope.
     """
-    try:
-        program_fn = EXACT_SKELETON_PROGRAMS[algorithm.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; "
-            f"expected one of {sorted(EXACT_SKELETON_PROGRAMS)}"
-        ) from None
+    program_fn = _program_for(algorithm)
     if machine is None:
         machine = marconi_a3()
     placement = Placement(
@@ -482,6 +326,17 @@ def run_skeleton_job(
     return job.run(program_fn, n=n, options=SymbolicOptions(nb=nb))
 
 
+def _program_for(algorithm: str):
+    # Read at call time: profilers patch the table's entries.
+    try:
+        return EXACT_SKELETON_PROGRAMS[algorithm.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; "
+            f"expected one of {sorted(EXACT_SKELETON_PROGRAMS)}"
+        ) from None
+
+
 # ----------------------------------------------------------------- driver
 def run_traced(
     algorithm: str,
@@ -489,30 +344,24 @@ def run_traced(
     ranks: int,
     nodes: int = 2,
     seed: int = 0,
-    chunks: int = 48,
+    chunks: int | None = 48,
     nb: int = 64,
-    capture_p2p: bool = True,
     machine: MachineSpec | None = None,
     fabric_jitter: float = 0.02,
     node_efficiency_spread: float = 0.02,
 ) -> tuple[JobResult, SpanTracer]:
-    """Run a monitored skeleton job with a tracer attached.
+    """Run a monitored exact skeleton with a tracer attached.
 
     Builds a small test machine with ``ranks`` spread over ``nodes``
     (mirroring ``repro solve``), attaches a fresh
     :class:`~repro.obs.tracer.SpanTracer`, and runs the ``algorithm``
-    skeleton under the white-box monitoring protocol.  Returns the
+    skeleton, its level loop sampled at ``chunks`` blocks (``None``:
+    every level), under the white-box monitoring protocol.  Returns the
     job result and the tracer, ready for
     :func:`repro.obs.export.write_chrome_trace` /
     :func:`repro.obs.report.energy_report`.
     """
-    try:
-        skeleton = SKELETON_PROGRAMS[algorithm.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; "
-            f"expected one of {sorted(SKELETON_PROGRAMS)}"
-        ) from None
+    skeleton = _program_for(algorithm)
     if machine is None:
         machine = small_test_machine(
             cores_per_socket=max(1, ranks // (2 * max(1, nodes)))
@@ -524,10 +373,10 @@ def run_traced(
     job = Job(machine, placement, profile=profile_for(algorithm), seed=seed,
               fabric_jitter=fabric_jitter,
               node_efficiency_spread=node_efficiency_spread)
-    tracer = SpanTracer(capture_p2p=capture_p2p)
+    tracer = SpanTracer()
     job.attach_tracer(tracer)
     program = monitored_program(
-        skeleton, n=n, options=SymbolicOptions(chunks=chunks, nb=nb)
+        skeleton, n=n, options=SymbolicOptions(nb=nb, chunks=chunks)
     )
     result = job.run(program)
     return result, tracer

@@ -129,9 +129,6 @@ class SpanTracer:
         Zero-argument callable returning the current virtual time.  Set
         automatically by :meth:`repro.runtime.job.Job.attach_tracer`;
         hooks that receive an explicit ``t`` work without it.
-    capture_p2p:
-        Record spans for blocking point-to-point operations (category
-        ``p2p``).  Collective spans are always recorded.
     capture_scheduler:
         Also record process lifecycle hooks (spawn/resume/block/finish)
         as instant events.  Off by default — on a large run these
@@ -143,11 +140,9 @@ class SpanTracer:
     """
 
     def __init__(self, clock: Callable[[], float] | None = None,
-                 capture_p2p: bool = True,
                  capture_scheduler: bool = False,
                  energy_probe: Callable[[], dict] | None = None):
         self.clock = clock
-        self.capture_p2p = capture_p2p
         self.capture_scheduler = capture_scheduler
         self.energy_probe = energy_probe
         self.spans: list[Span] = []
@@ -170,9 +165,7 @@ class SpanTracer:
     # --------------------------------------------------------------- spans
     def begin_span(self, name: str, cat: str, pid: int, tid: int,
                    t: float | None = None,
-                   args: dict | None = None) -> Span | None:
-        if cat == "p2p" and not self.capture_p2p:
-            return None
+                   args: dict | None = None) -> Span:
         t = self.now() if t is None else t
         stack = self._open.setdefault((pid, tid), [])
         span = Span(

@@ -98,7 +98,7 @@ def _tiny_bench_points(monkeypatch):
     monkeypatch.setattr(
         bench, "DEFAULT_POINTS",
         (bench.BenchPoint("ime", 96, 4, quick=True),
-         bench.BenchPoint("scalapack-skel", 192, 4, nb=24)),
+         bench.BenchPoint("scalapack-xskel", 192, 4, nb=24)),
     )
 
 
@@ -110,7 +110,7 @@ def test_bench_json(monkeypatch, capsys):
     out = capsys.readouterr().out
     report = json.loads(out[out.index("{"):])
     labels = {p["label"] for p in report["points"]}
-    assert labels == {"ime-n96-p4", "scalapack-skel-n192-p4"}
+    assert labels == {"ime-n96-p4", "scalapack-xskel-n192-p4"}
     for p in report["points"]:
         assert p["results"]["fast"]["virtual_s"] == \
             p["results"]["message"]["virtual_s"]

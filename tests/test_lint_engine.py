@@ -1,6 +1,6 @@
 """Engine-level behavior of the semantic lint driver: the incremental
-cache, the stale-baseline ratchet, suppression edge cases, the rule
-registry / --explain, and the SARIF output.
+cache, suppression edge cases, the rule registry / --explain, and the
+SARIF output.
 """
 
 import json
@@ -9,8 +9,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint.baseline import load_baseline, stale_entries, write_baseline
-from repro.lint.findings import Finding
 from repro.lint.registry import ALL_RULES, RULES, RULES_BY_ID, explain
 from repro.lint.runner import LintOptions, lint_paths, lint_source
 from repro.lint.sarif import to_sarif
@@ -172,47 +170,6 @@ class TestParallelAnalysis:
                             LintOptions(jobs=4, use_cache=False))
         assert serial.findings == forked.findings
         assert len(forked.findings) == 4
-
-
-# -------------------------------------------------------- stale baseline
-class TestStaleBaseline:
-    def _finding(self, text="comm.barrier()"):
-        return Finding(path="x.py", line=2, col=5, rule="SIM001",
-                       message="m", text=text)
-
-    def test_stale_entries_detects_fixed_findings(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, [self._finding()])
-        baseline = load_baseline(baseline_file)
-        assert stale_entries([self._finding()], baseline) == []
-        stale = stale_entries([], baseline)
-        assert stale == [("x.py", "SIM001", "comm.barrier()", 1)]
-
-    def test_excess_counts_are_stale(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, [self._finding(), self._finding()])
-        stale = stale_entries([self._finding()],
-                              load_baseline(baseline_file))
-        assert stale == [("x.py", "SIM001", "comm.barrier()", 1)]
-
-    def test_cli_fails_on_stale_baseline(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("def f(x):\n    return x\n")
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, [
-            Finding(path=str(clean), line=2, col=5, rule="SIM001",
-                    message="m", text="gone()"),
-        ])
-        proc = _run_cli("--baseline", str(baseline_file), str(clean))
-        assert proc.returncode == 1
-        assert "stale baseline entry" in proc.stderr
-        assert "--write-baseline" in proc.stderr
-
-    def test_repo_baseline_is_empty(self):
-        # The baseline burn-down is done; keep it that way.
-        payload = json.loads(
-            (REPO / "tools" / "lint_baseline.json").read_text())
-        assert payload["findings"] == []
 
 
 # ------------------------------------------------- suppression edge cases

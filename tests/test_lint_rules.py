@@ -1,19 +1,16 @@
 """repro.lint: one good/bad fixture pair per rule family, plus the
-suppression syntax, the JSON output, the baseline ratchet, and the
-self-hosting guarantee (the linter reports nothing on this repository).
+suppression syntax, the JSON output, and the self-hosting guarantee
+(the linter reports nothing on this repository).
 """
 
 import json
 import subprocess
 import sys
 import textwrap
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.findings import Finding
 from repro.lint.runner import LintOptions, lint_paths, lint_source
 
 REPO = Path(__file__).resolve().parent.parent
@@ -588,40 +585,6 @@ class TestSuppressions:
         assert rules_of(findings) == ["DET002"]
 
 
-# ------------------------------------------------------------- baseline
-class TestBaseline:
-    def _finding(self, text="x = 1", path="a.py", rule="DET002", line=3):
-        return Finding(path=path, line=line, col=1, rule=rule,
-                       message="m", text=text)
-
-    def test_roundtrip_and_subtraction(self, tmp_path):
-        old = [self._finding(), self._finding(text="y = 2")]
-        path = tmp_path / "baseline.json"
-        write_baseline(path, old)
-        baseline = load_baseline(path)
-        # Same findings on a later run, at shifted line numbers: clean.
-        moved = [self._finding(line=30), self._finding(text="y = 2", line=31)]
-        assert apply_baseline(moved, baseline) == []
-        # A new finding is not grandfathered.
-        fresh = moved + [self._finding(text="z = 3")]
-        remaining = apply_baseline(fresh, baseline)
-        assert [f.text for f in remaining] == ["z = 3"]
-
-    def test_multiset_semantics(self, tmp_path):
-        # Two identical findings baselined; three occurrences -> one new.
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [self._finding(), self._finding()])
-        remaining = apply_baseline(
-            [self._finding(), self._finding(), self._finding()],
-            load_baseline(path))
-        assert len(remaining) == 1
-
-    def test_empty_baseline_is_counter(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [])
-        assert load_baseline(path) == Counter()
-
-
 # ------------------------------------------------------------ CLI + repo
 class TestCli:
     def _run(self, *args, cwd=REPO):
@@ -650,34 +613,13 @@ class TestCli:
         f = payload["findings"][0]
         assert f["path"] == str(bad) and f["line"] == 3
 
-    def test_baseline_ratchet_via_cli(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def program(comm):\n"
-                       "    comm.barrier()\n"
-                       "    yield\n")
-        baseline = tmp_path / "baseline.json"
-        assert self._run("--write-baseline", str(baseline),
-                         str(bad)).returncode == 0
-        # Baselined: clean.
-        assert self._run("--baseline", str(baseline),
-                         str(bad)).returncode == 0
-        # A second violation is new: fails.
-        bad.write_text(bad.read_text() +
-                       "\n\ndef worker(comm):\n"
-                       "    comm.bcast(None, root=0)\n"
-                       "    yield\n")
-        proc = self._run("--baseline", str(baseline), str(bad))
-        assert proc.returncode == 1
-        assert "comm.bcast" in proc.stdout
-
     def test_repo_baseline_file_matches_tree(self):
-        """tools/lint_baseline.json stays in sync with the source tree."""
-        baseline = load_baseline(REPO / "tools" / "lint_baseline.json")
+        """The tree lints clean: there is no baseline to grandfather a
+        finding."""
         result = lint_paths([str(REPO / "src" / "repro"),
                              str(REPO / "tools"),
                              str(REPO / "examples")])
-        # No unbaselined findings (the tree lints clean modulo baseline).
-        assert apply_baseline(result.findings, baseline) == []
+        assert result.findings == []
 
     def test_syntax_error_reported_not_crash(self, tmp_path):
         bad = tmp_path / "broken.py"

@@ -94,12 +94,6 @@ class TestSpanTracer:
         tr.end_span(b, t=1.0)
         assert tr.validate_nesting() == []
 
-    def test_p2p_capture_can_be_disabled(self):
-        tr = SpanTracer(capture_p2p=False)
-        assert tr.begin_span("send", cat="p2p", pid=0, tid=0, t=0.0) is None
-        tr.end_span(None)  # tolerated
-        assert tr.spans == []
-
     def test_export_refuses_open_spans(self):
         tr = SpanTracer()
         tr.begin_span("open", cat="phase", pid=0, tid=0, t=0.0)
@@ -222,15 +216,23 @@ class TestSymbolicSkeletons:
         assert names and all(n.startswith(prefix) for n in names)
         assert tracer.validate_nesting() == []
 
-    def test_skeleton_charges_cost_model_flops(self):
+    @pytest.mark.parametrize("algorithm", ["ime", "scalapack"])
+    def test_skeleton_charges_cost_model_flops(self, algorithm):
+        """A sampled trace charges the flops of every level it skips."""
         from repro.solvers.ime.costmodel import ImeCostModel
 
         n, ranks = 96, 4
-        _result, tracer = run_traced("ime", n=n, ranks=ranks, chunks=5)
-        expected = ImeCostModel.level_flops_per_rank(n, ranks).sum() * ranks \
-            + float(n) * n  # + master's INITIME scaling
-        assert tracer.metrics.counter_total("compute.flops") \
-            == pytest.approx(expected)
+        _result, tracer = run_traced(algorithm, n=n, ranks=ranks, chunks=5,
+                                     nb=8)
+        _result, unsampled = run_traced(algorithm, n=n, ranks=ranks,
+                                        chunks=None, nb=8)
+        total = tracer.metrics.counter_total("compute.flops")
+        assert total == pytest.approx(
+            unsampled.metrics.counter_total("compute.flops"))
+        if algorithm == "ime":
+            expected = ImeCostModel.level_flops_per_rank(n, ranks).sum() \
+                * ranks + float(n) * n  # + master's INITIME scaling
+            assert total == pytest.approx(expected)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

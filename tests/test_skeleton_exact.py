@@ -15,7 +15,11 @@ import pytest
 from repro.cluster.machine import small_test_machine
 from repro.cluster.placement import LoadShape, place_ranks
 from repro.runtime.job import Job
-from repro.obs.symbolic import run_skeleton_job
+from repro.obs.symbolic import (
+    EXACT_SKELETON_PROGRAMS,
+    SymbolicOptions,
+    run_skeleton_job,
+)
 from repro.solvers.ime.parallel import ime_parallel_program
 from repro.solvers.scalapack.pdgesv import ScalapackOptions, pdgesv_program
 from repro.workloads.generator import LinearSystem, generate_system
@@ -108,6 +112,38 @@ def test_scalapack_full_solver_still_solves_the_probe_system():
     x = result.rank_results[0]
     np.testing.assert_allclose(x, np.linalg.solve(system.a, system.b),
                                atol=1e-10)
+
+
+# --------------------------------------------------------------- sampling
+def run_sampled(algorithm, n, ranks, nb, chunks, fast):
+    machine = _machine(ranks)
+    job = Job(machine, place_ranks(ranks, LoadShape.FULL, machine))
+    job.sim.fast = fast
+    return job.run(EXACT_SKELETON_PROGRAMS[algorithm], n=n,
+                   options=SymbolicOptions(nb=nb, chunks=chunks))
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "message"])
+@pytest.mark.parametrize("extra", [0, 5])
+@pytest.mark.parametrize("algorithm,n,ranks,nb,levels", [
+    ("ime", 37, 4, 8, 37),        # one chunk per level
+    ("scalapack", 37, 6, 5, 8),   # one chunk per panel (last one short)
+])
+def test_sampling_every_level_is_the_unsampled_run(algorithm, n, ranks, nb,
+                                                   levels, extra, fast):
+    """``chunks`` ≥ the loop length replays every level and charges each
+    level's own flops, so the modeled run is bitwise the unsampled one."""
+    unsampled = run_skeleton_job(algorithm, n, ranks, machine=_machine(ranks),
+                                 nb=nb, fast=fast)
+    sampled = run_sampled(algorithm, n, ranks, nb, levels + extra, fast)
+    assert_modeled_equal(unsampled, sampled)
+
+
+@pytest.mark.parametrize("algorithm", ["ime", "scalapack"])
+def test_sampling_replays_fewer_rounds(algorithm):
+    full = run_sampled(algorithm, 48, 4, 6, None, True)
+    sampled = run_sampled(algorithm, 48, 4, 6, 3, True)
+    assert sampled.traffic["messages"] < full.traffic["messages"]
 
 
 # ---------------------------------------------------------------- driver

@@ -28,18 +28,6 @@ def test_trace_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_trace_no_p2p_shrinks_trace(tmp_path):
-    full, lean = tmp_path / "full.json", tmp_path / "lean.json"
-    assert main(["trace", *SMALL, "--out", str(full)]) == 0
-    assert main(["trace", *SMALL, "--no-p2p", "--out", str(lean)]) == 0
-    n_full = len(json.loads(full.read_text())["traceEvents"])
-    n_lean = len(json.loads(lean.read_text())["traceEvents"])
-    assert n_lean < n_full
-    lean_cats = {e.get("cat")
-                 for e in json.loads(lean.read_text())["traceEvents"]}
-    assert "p2p" not in lean_cats
-
-
 def test_trace_report_prints_attribution(tmp_path, capsys):
     out = tmp_path / "trace.json"
     assert main(["trace", "--algorithm", "scalapack", *SMALL,
