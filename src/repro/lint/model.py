@@ -26,7 +26,7 @@ KNOWN_SIMCALL_METHODS = frozenset({
     "send", "recv", "sendrecv", "probe",
     "bcast", "reduce", "allreduce", "allgather", "gather", "scatter",
     "gatherv", "scatterv", "reduce_scatter", "scan", "alltoall", "barrier",
-    "split", "split_type", "dup",
+    "split", "split_type", "dup", "bcast_chain",
     "wait", "waitall", "waitany",
     "compute", "elapse",
     "attach", "start_monitoring", "stop_monitoring",

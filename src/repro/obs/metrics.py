@@ -16,12 +16,15 @@ last-write-wins samples (e.g. ``engine.queue_depth``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MetricKey:
-    """One labelled series: a metric name plus optional rank/node labels."""
+class MetricKey(NamedTuple):
+    """One labelled series: a metric name plus optional rank/node labels.
+
+    The registry keys its series with plain ``(name, rank, node)``
+    tuples, which compare and hash equal to a ``MetricKey``.
+    """
 
     name: str
     rank: int | None = None
@@ -43,53 +46,56 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self._counters: dict[MetricKey, float] = {}
-        self._gauges: dict[MetricKey, float] = {}
+        # (name, rank, node) -> value; plain tuples, hashed in C — a
+        # traced run increments hundreds of thousands of times
+        self._counters: dict[tuple, float] = {}
+        self._gauges: dict[tuple, float] = {}
 
     # ------------------------------------------------------------- writing
     def inc(self, name: str, value: float = 1.0,
             rank: int | None = None, node: int | None = None) -> None:
         """Add ``value`` to the counter series ``(name, rank, node)``."""
-        key = MetricKey(name, rank, node)
-        self._counters[key] = self._counters.get(key, 0.0) + float(value)
+        key = (name, rank, node)
+        counters = self._counters
+        counters[key] = counters.get(key, 0.0) + float(value)
 
     def set_gauge(self, name: str, value: float,
                   rank: int | None = None, node: int | None = None) -> None:
         """Record the latest sample of the gauge ``(name, rank, node)``."""
-        self._gauges[MetricKey(name, rank, node)] = float(value)
+        self._gauges[(name, rank, node)] = float(value)
 
     # ------------------------------------------------------------- reading
     def counter_total(self, name: str) -> float:
         """Sum of every labelled series of one counter name."""
-        return sum(v for k, v in self._counters.items() if k.name == name)
+        return sum(v for k, v in self._counters.items() if k[0] == name)
 
     def per_rank(self, name: str) -> dict[int, float]:
         """Counter sums aggregated by the ``rank`` label (unlabelled
         increments are excluded)."""
         out: dict[int, float] = {}
-        for k, v in self._counters.items():
-            if k.name == name and k.rank is not None:
-                out[k.rank] = out.get(k.rank, 0.0) + v
+        for (n, rank, _node), v in self._counters.items():
+            if n == name and rank is not None:
+                out[rank] = out.get(rank, 0.0) + v
         return dict(sorted(out.items()))
 
     def per_node(self, name: str) -> dict[int, float]:
         """Counter sums aggregated by the ``node`` label."""
         out: dict[int, float] = {}
-        for k, v in self._counters.items():
-            if k.name == name and k.node is not None:
-                out[k.node] = out.get(k.node, 0.0) + v
+        for (n, _rank, node), v in self._counters.items():
+            if n == name and node is not None:
+                out[node] = out.get(node, 0.0) + v
         return dict(sorted(out.items()))
 
     def gauge(self, name: str, rank: int | None = None,
               node: int | None = None) -> float | None:
         """Latest sample of one gauge series (``None`` if never set)."""
-        return self._gauges.get(MetricKey(name, rank, node))
+        return self._gauges.get((name, rank, node))
 
     def counter_names(self) -> list[str]:
-        return sorted({k.name for k in self._counters})
+        return sorted({k[0] for k in self._counters})
 
     def gauge_names(self) -> list[str]:
-        return sorted({k.name for k in self._gauges})
+        return sorted({k[0] for k in self._gauges})
 
     def snapshot(self) -> dict:
         """Deterministic nested dict of every series (for tests/exports).
@@ -107,17 +113,14 @@ class MetricsRegistry:
         gauges = {}
         for name in self.gauge_names():
             series = {
-                k: v for k, v in sorted(
+                (rank, node): v for (n, rank, node), v in sorted(
                     self._gauges.items(),
-                    key=lambda kv: (kv[0].rank is not None, kv[0].rank,
-                                    kv[0].node is not None, kv[0].node),
-                ) if k.name == name
+                    key=lambda kv: (kv[0][1] is not None, kv[0][1],
+                                    kv[0][2] is not None, kv[0][2]),
+                ) if n == name
             }
-            if len(series) == 1 and next(iter(series)).rank is None \
-                    and next(iter(series)).node is None:
-                gauges[name] = next(iter(series.values()))
+            if list(series) == [(None, None)]:
+                gauges[name] = series[(None, None)]
             else:
-                gauges[name] = {
-                    (k.rank, k.node): v for k, v in series.items()
-                }
+                gauges[name] = series
         return {"counters": counters, "gauges": gauges}

@@ -18,6 +18,15 @@ pivot choices, so its exact skeleton models the no-swap trajectory
 (``piv == j`` at every column) — exactly what the full solver produces
 on column diagonally dominant systems, which the equivalence tests use.
 
+Pivot chains: on that trajectory a rank outside the panel's process
+column does nothing in a panel's column loop but receive the ``kb`` row
+broadcasts of ``piv``, so it issues them as one
+:meth:`~repro.simmpi.comm.Communicator.bcast_chain` and, on the fused
+fast path, parks once per panel instead of once per column; the pivot
+column's ranks issue the per-column ``bcast`` calls that feed it.  The
+chain is bit-identical to the loop of ``bcast`` calls it stands for
+(``tests/test_bcast_chain.py``).
+
 Sampling (``repro trace``)
 --------------------------
 A trace records one span per collective per rank, so a trace of every
@@ -238,22 +247,21 @@ def scalapack_exact_skeleton_program(ctx, comm, n: int,
             prk = kblock % grid.nprow
 
             # ---- panel: pivot chain + column scale, once per column
-            for j in range(k0, k0 + kb):
-                if mycol == pck:
+            if mycol == pck:
+                for j in range(k0, k0 + kb):
                     # Max-loc candidates are 2-tuples either way; all
                     # (1.0, j) folds to piv == j — the no-swap branch.
                     best = yield from col_comm.allreduce((1.0, j),
                                                          op=_maxloc)
-                    piv = best[1]
-                else:
-                    piv = None
-                piv = yield from row_comm.bcast(piv, root=pck)
-                # piv == j: the global row swap does not fire.
-                if mycol == pck:
+                    yield from row_comm.bcast(best[1], root=pck)
+                    # piv == j: the global row swap does not fire.
                     src_pr = owner_of(j, nb, grid.nprow)
                     prow_ph = 0.0 if myrow == src_pr else None
                     yield from col_comm.bcast(prow_ph, root=src_pr,
                                               nbytes=FLOAT_BYTES * (k0 + kb - j))
+            else:
+                # The kb row broadcasts of piv, back to back.
+                yield from row_comm.bcast_chain(kb, root=pck)
 
             # ---- U12: L11 along the prk process row, U12 down columns
             c_r = int(np.searchsorted(gcols, k0 + kb))

@@ -748,6 +748,35 @@ class Communicator:
             return gen
         return self._coll_span("bcast", gen)
 
+    def bcast_chain(self, count: int, root: int = 0,
+                    nbytes: int | None = None):
+        """Receive ``count`` back-to-back broadcasts from ``root``.
+
+        A non-root rank's equivalent of ``count`` ``bcast(None, root,
+        nbytes)`` calls with nothing in between (the root issues its own
+        ``bcast`` calls); returns the last broadcast's value.  Where
+        :meth:`World._fused` allows it the rank parks once for the whole
+        run and every modeled quantity stays bit-identical
+        (:func:`repro.simmpi.fastcoll.fast_bcast_chain`); elsewhere it is
+        that loop of ``bcast`` calls, each with its own span and
+        sanitizer entry.
+        """
+        if not 0 <= root < self.size:
+            raise SimMPIError(f"root rank {root} out of range [0, {self.size})")
+        if self.rank == root:
+            raise SimMPIError("bcast_chain receives: the root calls bcast")
+        if count < 0:
+            raise SimMPIError(f"negative broadcast count {count}")
+        if self.world._fused():
+            return fastcoll.fast_bcast_chain(self, count, root)
+        return self._bcast_loop(count, root, nbytes)
+
+    def _bcast_loop(self, count, root, nbytes):
+        value = None
+        for _ in range(count):
+            value = yield from self.bcast(None, root=root, nbytes=nbytes)
+        return value
+
     def _bcast_message(self, payload, root, nbytes):
         tag = self._next_coll_tag()
         size = self.size

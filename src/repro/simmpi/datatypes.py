@@ -49,6 +49,19 @@ def payload_nbytes(payload: Any) -> int:
     return int(sys.getsizeof(payload))
 
 
+#: scalar types that :func:`copy_payload` passes through unchanged
+IMMUTABLE_SCALARS = frozenset((float, int, bool, str, type(None)))
+
+
+def passes_through_copy(item: Any) -> bool:
+    """Whether :func:`copy_payload` hands ``item`` itself back: an
+    immutable scalar, or a tuple of them."""
+    t = type(item)
+    if t is tuple:
+        return all(type(x) in IMMUTABLE_SCALARS for x in item)
+    return t in IMMUTABLE_SCALARS
+
+
 def copy_payload(payload: Any) -> Any:
     """Copy-on-send, mirroring MPI buffer semantics for mutable buffers.
 

@@ -21,7 +21,9 @@ Composite operations (message passing, collectives, monitoring) are generator
 functions delegated to with ``yield from``, so the engine only ever sees the
 primitives above.  Determinism is guaranteed by a monotonically
 increasing sequence number that breaks ties between events scheduled at the
-same virtual time.
+same virtual time.  A fast path may reserve the number of an event it
+might never need (:meth:`Simulator.reserve`) and schedule it later at
+that exact key, so skipping an event never reorders the others.
 
 A minimal program — spawn a generator, run to quiescence, read the result:
 
@@ -341,6 +343,9 @@ class Simulator:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = 0
+        #: sequence number of the event being dispatched (see
+        #: :meth:`reserve`)
+        self._seq_now = 0
         self._live_processes: set[Process] = set()
         self._failure: tuple[Process, BaseException] | None = None
         #: observability hook (see :mod:`repro.obs.tracer`); ``None`` keeps
@@ -393,6 +398,35 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn, arg))
 
+    def reserve(self) -> int:
+        """Take the sequence number the next scheduled event would get,
+        without scheduling one.
+
+        A fast path that may never need an event it would have scheduled
+        (a chained broadcast's intermediate wakes,
+        :func:`repro.simmpi.fastcoll.fast_bcast_chain`) reserves its
+        number instead; :meth:`schedule_reserved` later pushes the event
+        with that number, so it runs in exactly the place among
+        equal-time events that an eagerly scheduled one would have, and
+        :meth:`dispatched` tells whether that place has been passed.
+        """
+        self._seq += 1
+        return self._seq
+
+    def schedule_reserved(self, time: float, seq: int, fn: Callable,
+                          arg: Any = None) -> None:
+        """Schedule at the exact key ``(time, seq)`` of a :meth:`reserve`."""
+        if self.dispatched(time, seq):
+            raise ValueError(
+                f"cannot schedule in the past ({(time, seq)} <= "
+                f"{(self._now, self._seq_now)})")
+        heapq.heappush(self._heap, (time, seq, fn, arg))
+
+    def dispatched(self, time: float, seq: int) -> bool:
+        """Whether an event keyed ``(time, seq)`` would already have run
+        (it is at or before the event being dispatched)."""
+        return (time, seq) <= (self._now, self._seq_now)
+
     def spawn(self, gen: Generator, name: str = "proc") -> Process:
         """Register a generator as a process; it starts at the current time."""
         proc = Process(self, gen, name)
@@ -431,6 +465,7 @@ class Simulator:
                     "(heap ordering violated)"
                 )
             self._now = time
+            self._seq_now = _seq
             fn(arg)
         if self._failure is not None:
             proc, exc = self._failure

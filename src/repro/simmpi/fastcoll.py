@@ -38,6 +38,15 @@ The compositions (``allreduce``, ``allgather``, ``barrier``, ``scan``,
 ``reduce_scatter``, ``split``) are built on these primitives and need no
 fast path of their own; ``alltoall`` intentionally stays message-level.
 
+A *chained* broadcast (:func:`fast_bcast_chain`, behind
+``Communicator.bcast_chain``) lets a non-root rank receive ``k``
+back-to-back broadcasts from one root with one park: when a cascade
+completes such a rank it enters it into the next broadcast's record at
+its completion time instead of waking it.  Each skipped wake keeps the
+sequence number it would have had
+(:meth:`repro.simmpi.engine.Simulator.reserve`), so event
+order at equal timestamps stays that of ``k`` :func:`fast_bcast` calls.
+
 Equivalence contract
 --------------------
 For any fabric whose per-message cost is a pure function of ``(nbytes,
@@ -95,7 +104,9 @@ from typing import Any, Callable
 from repro.memo import register_cache
 from repro.simmpi.datatypes import (
     DEFAULT_OBJECT_BYTES,
+    IMMUTABLE_SCALARS,
     copy_payload,
+    passes_through_copy,
     payload_nbytes,
 )
 from repro.simmpi.engine import Park, SleepUntil
@@ -111,9 +122,6 @@ _COLL_TAG_BASE = -1000
 #: placeholder constants for the fabric-call branch: the hop loops
 #: evaluate ``dt`` from them but never use it there
 _UNPRICED = HopCosts(0.0, 1.0, 0.0, 1.0, 0.0, 0.0)
-
-#: payload types that copy-on-send passes through unchanged
-_IMMUTABLE = frozenset((float, int, bool, str, type(None)))
 
 
 def _pricing(fabric, costs: HopCosts | None):
@@ -141,6 +149,12 @@ def _fixed_hop(fabric, schedule, costs: HopCosts, nb: int):
 def _bcast_values(payload: Any, size: int, root: int) -> list:
     """Per-rank broadcast results: the root keeps ``payload`` itself,
     every other rank gets its own copy (copy-on-send)."""
+    if type(payload) is list and all(map(passes_through_copy, payload)):
+        # Copy-on-send of a list whose items it passes through is a
+        # shallow copy (an allgather of scalars or of split's tuples):
+        # O(p) item checks, not O(p) copies per rank.
+        return [payload if r == root else payload.copy()
+                for r in range(size)]
     if copy_payload(payload) is payload:
         # Immutable payloads pass through copy-on-send unchanged.
         return [payload] * size
@@ -212,7 +226,8 @@ class _DownRec:
     """
 
     __slots__ = ("entry", "procs", "arrival", "value", "compl", "nbytes",
-                 "served", "schedule", "overhead", "dt_intra", "dt_inter")
+                 "served", "schedule", "overhead", "dt_intra", "dt_inter",
+                 "chains", "next")
 
     def __init__(self, size: int):
         self.entry: list = [None] * size
@@ -222,6 +237,12 @@ class _DownRec:
         self.compl: list = [0.0] * size
         self.nbytes = 0
         self.served = 0
+        #: ``chains[v]`` is the :class:`_Chain` virtual rank ``v`` is parked
+        #: on (``None`` for the whole list until a chain enters)
+        self.chains: list | None = None
+        #: the communicator's next broadcast record, once a chain looked
+        #: it up (:meth:`_Chain.advance`)
+        self.next: _DownRec | None = None
 
 
 class _UpRec:
@@ -257,7 +278,9 @@ def _bcast_cascade(comm, rec: _DownRec, key, root: int, size: int,
 
     This is the innermost loop of a fast-path run (one iteration per
     modeled hop), so every attribute lookup is hoisted and each hop's
-    arrival is computed inline (see "How a hop is priced").
+    arrival is computed inline (see "How a hop is priced").  A completed
+    rank that holds a chain (``rec.chains``) moves on to its next
+    broadcast instead of being woken (:class:`_Chain`).
     """
     world = comm.world
     sim = world.sim
@@ -270,9 +293,12 @@ def _bcast_cascade(comm, rec: _DownRec, key, root: int, size: int,
     nodes = comm._nodes
     arrival, value, entry, procs = rec.arrival, rec.value, rec.entry, rec.procs
     compl = rec.compl
+    chains = rec.chains
+    if chains is not None:
+        now = sim.now
     children_tbl = _children_table(size)
     # Every rank's value is a copy of the root's: share it if immutable.
-    shared = type(data) in _IMMUTABLE
+    shared = type(data) in IMMUTABLE_SCALARS
     hops = inter = 0
     stack = [(v, data, t_ready)]
     while stack:
@@ -299,7 +325,9 @@ def _bcast_cascade(comm, rec: _DownRec, key, root: int, size: int,
                 data_c = value[c] = data if shared else copy_payload(data)
                 t = t + ((t + overhead) - t)
                 e = entry[c]
-                if e is None:
+                if e is None or (chains is not None and chains[c] is not None
+                                 and chains[c].wake >= now
+                                 and chains[c].withdraw(rec, c)):
                     arrival[c] = arr
                     continue
                 # ``max(e, arr)`` without the call
@@ -312,16 +340,25 @@ def _bcast_cascade(comm, rec: _DownRec, key, root: int, size: int,
                     rec.served += 1
                     p = procs[c]
                     if p is not None:
-                        sim.schedule_at(tc, p._step, data_c)
+                        if chains is None or chains[c] is None:
+                            sim.schedule_at(tc, p._step, data_c)
+                        else:
+                            chains[c].advance(rec, p, tc, data_c)
         compl[u] = t
         rec.served += 1
         p = procs[u]
         if p is not None:
-            sim.schedule_at(t, p._step, value[u])
+            if chains is None or chains[u] is None:
+                sim.schedule_at(t, p._step, value[u])
+            else:
+                chains[u].advance(rec, p, t, value[u])
     if world.track_traffic:
         world.stats.record_bulk(hops, nbytes * hops, inter, nbytes * inter)
     if rec.served == size:
+        # A finished record drops its chain link, so a parked chain does
+        # not keep its later records alive.
         del world._fast_colls[key]
+        rec.next = None
 
 
 def fast_bcast(comm, payload: Any, root: int, nbytes: int | None):
@@ -363,6 +400,7 @@ def fast_bcast(comm, payload: Any, root: int, nbytes: int | None):
         rec.served += 1
         if rec.served == size:
             del colls[key]
+            rec.next = None
         if t > now:
             yield SleepUntil(t)
         return data
@@ -370,6 +408,163 @@ def fast_bcast(comm, payload: Any, root: int, nbytes: int | None):
     t = rec.compl[v]
     if t > now:
         yield SleepUntil(t)
+    return data
+
+
+# ------------------------------------------------------ chained bcasts
+
+#: :attr:`_Chain.wake` of a rank that entered its record itself
+_OWN_ENTRY = float("-inf")
+
+
+class _Chain:
+    """One non-root rank's run of ``count`` back-to-back broadcasts from
+    one root (:func:`fast_bcast_chain`).
+
+    ``done`` broadcasts have completed; the rank is parked in (or about
+    to enter) broadcast ``done``.  When a cascade completes a broadcast
+    for the rank, :meth:`advance` enters it into the next record at its
+    completion time instead of waking it.  Such an entry is *provisional*
+    until the instant the skipped wake would have run: ``(wake, seq)``
+    is that wake's event key, its sequence number reserved from the
+    engine at the moment the reference path would have scheduled it.  A
+    cascade reaching the rank before that instant finds it not yet
+    entered, as the reference does, and :meth:`withdraw` schedules the
+    skipped wake at its reserved key — so event order, equal timestamps
+    included, stays the reference's.  ``wake`` is ``-inf`` while the
+    entry is the rank's own.
+    """
+
+    __slots__ = ("comm", "sim", "v", "seq0", "count", "done", "wake", "seq")
+
+    def __init__(self, comm, v: int, seq0: int, count: int):
+        self.comm = comm
+        self.sim = comm.world.sim
+        self.v = v
+        self.seq0 = seq0
+        self.count = count
+        self.done = 0
+        self.wake = _OWN_ENTRY
+        self.seq = 0
+
+    def record(self, i: int) -> tuple:
+        """``(key, record)`` of the chain's ``i``-th broadcast."""
+        comm = self.comm
+        key = (comm.cid, _COLL_TAG_BASE - (self.seq0 + i + 1))
+        colls = comm.world._fast_colls
+        rec = colls.get(key)
+        if rec is None:
+            rec = colls[key] = _DownRec(comm.size)
+        return key, rec
+
+    def enter(self, rec: _DownRec, t: float, provisional: bool) -> None:
+        """Enter the rank into ``rec`` at ``t``; a provisional entry
+        reserves the sequence number of the wake it replaces."""
+        v = self.v
+        rec.entry[v] = t
+        chains = rec.chains
+        if chains is None:
+            chains = rec.chains = [None] * self.comm.size
+        chains[v] = self
+        if provisional:
+            self.wake = t
+            self.seq = self.sim.reserve()
+        else:
+            self.wake = _OWN_ENTRY
+
+    def advance(self, rec: _DownRec, proc, t: float, value) -> None:
+        """A cascade completed the rank's broadcast ``rec`` at ``t``."""
+        self.done = done = self.done + 1
+        if done == self.count:
+            self.sim.schedule_at(t, proc._step, value)
+            return
+        # Consecutive broadcasts of one chain are linked, so the ranks
+        # that follow the first look the next record up once, here.
+        nxt = rec.next
+        if nxt is None:
+            nxt = rec.next = self.record(done)[1]
+        v = self.v
+        if nxt.arrival[v] is not None:
+            # The resumed rank would find its message delivered and run
+            # the next cascade itself at its wake: wake it.
+            self.sim.schedule_at(t, proc._step, None)
+            return
+        # enter(nxt, t, True), inline: once per rank and broadcast
+        nxt.entry[v] = t
+        nxt.procs[v] = proc
+        chains = nxt.chains
+        if chains is None:
+            chains = nxt.chains = [None] * len(nxt.entry)
+        chains[v] = self
+        self.wake = t
+        self.seq = self.sim.reserve()
+
+    def withdraw(self, rec: _DownRec, v: int) -> bool:
+        """Undo a provisional entry a cascade reaches too early.
+
+        Returns whether it did: the rank's skipped wake is scheduled at
+        its reserved key, and it enters ``rec`` itself when it runs.
+        """
+        sim = self.sim
+        if sim.dispatched(self.wake, self.seq):
+            return False
+        proc = rec.procs[v]
+        rec.entry[v] = rec.procs[v] = rec.chains[v] = None
+        sim.schedule_reserved(self.wake, self.seq, proc._step, None)
+        self.wake = _OWN_ENTRY
+        return True
+
+
+def fast_bcast_chain(comm, count: int, root: int):
+    """``count`` back-to-back broadcasts from ``root``, received by one
+    non-root rank that parks once for the whole run.
+
+    Bit-identical to ``count`` :func:`fast_bcast` calls — times, values,
+    traffic and event order — since every completion is the same
+    ``max(entry, arrival) + overhead`` recurrence and a skipped wake
+    keeps its reserved place in the event queue (:class:`_Chain`).
+    Returns the last broadcast's value.
+    """
+    world = comm.world
+    sim = world.sim
+    seq0 = comm._coll_seq
+    comm._coll_seq = seq0 + count
+    size = comm.size
+    v = (comm.rank - root) % size
+    leaf = not _children_table(size)[v]
+    chain = _Chain(comm, v, seq0, count)
+    data = None
+    while chain.done < count:
+        key, rec = chain.record(chain.done)
+        now = sim.now
+        arr = rec.arrival[v]
+        if arr is None:
+            chain.enter(rec, now, False)
+            data = yield Park(rec.procs, v)
+            continue
+        # The message is already here: the rank's own turn, as in
+        # fast_bcast, and then the next broadcast at its completion.
+        rec.entry[v] = now
+        data = rec.value[v]
+        if leaf:
+            t = (arr if arr > now else now) + rec.overhead
+            rec.served += 1
+            if rec.served == size:
+                del world._fast_colls[key]
+                rec.next = None
+        else:
+            _bcast_cascade(comm, rec, key, root, size, v, data,
+                           (arr if arr > now else now) + rec.overhead)
+            t = rec.compl[v]
+        chain.done += 1
+        if t > now:
+            if chain.done < count:
+                _key, nxt = chain.record(chain.done)
+                if nxt.arrival[v] is None:
+                    chain.enter(nxt, t, True)
+                    data = yield Park(nxt.procs, v)
+                    continue
+            yield SleepUntil(t)
     return data
 
 

@@ -403,6 +403,36 @@ def test_comm_world_places_each_rank_once():
     assert comms[1].group() == list(range(size))
 
 
+def test_split_copies_each_entry_once(monkeypatch):
+    """A split's allgather of (color, key, rank) tuples hands every rank
+    its own list of the shared tuples: O(p) payload copies per split,
+    not one copy per entry per rank."""
+    from repro.simmpi import comm as comm_mod
+    from repro.simmpi import datatypes, fastcoll
+
+    size = 1296
+    calls = [0]
+    original = datatypes.copy_payload
+
+    def counting_copy(payload):
+        calls[0] += 1
+        return original(payload)
+
+    for module in (datatypes, fastcoll, comm_mod):
+        monkeypatch.setattr(module, "copy_payload", counting_copy)
+
+    def program(comm):
+        sub = yield from comm.split(color=comm.rank % 36, key=-comm.rank)
+        return sub.rank, sub.size
+
+    results, _, world = run_world(size, program,
+                                  node_of=lambda rank: rank // 36)
+    assert calls[0] <= 2 * size
+    assert results[0] == (35, 36) and results[size - 1] == (0, 36)
+    # The allgather's modeled traffic: a 24-byte entry per rank.
+    assert world.stats.messages == 2 * (size - 1)
+
+
 def test_split_members_share_their_lists():
     """Every member of one split color refers to the same member and
     node lists; other colors get their own."""

@@ -209,3 +209,30 @@ def test_call_at_past_time_rejected():
     sim.run()
     with pytest.raises(ValueError, match="past"):
         sim.call_at(1.0, lambda _: None)
+
+
+def test_reserved_event_keeps_its_place_among_equal_times():
+    """An event scheduled late at a reserved sequence number runs where an
+    eagerly scheduled one would have: before later equal-time events."""
+    sim = Simulator()
+    order = []
+    keys = {}
+
+    def early(_):
+        keys["a"] = sim.reserve()      # the event "a" might never need
+        sim.call_at(2.0, order.append, "b")
+
+    def late(_):
+        assert not sim.dispatched(2.0, keys["a"])
+        sim.schedule_reserved(2.0, keys["a"], order.append, "a")
+
+    def after(_):
+        assert sim.dispatched(2.0, keys["a"])
+        with pytest.raises(ValueError, match="past"):
+            sim.schedule_reserved(2.0, keys["a"], order.append, "x")
+
+    sim.call_at(0.5, early)
+    sim.call_at(1.0, late)
+    sim.call_at(3.0, after)
+    sim.run()
+    assert order == ["a", "b"]
