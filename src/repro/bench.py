@@ -63,9 +63,12 @@ class BenchPoint:
 #: ``scalapack-xskel`` is the headline point: the ScaLAPACK n = 4320,
 #: 16-rank exact skeleton (pdgesv's complete schedule, no numerics —
 #: see :mod:`repro.obs.symbolic`), which isolates the collective engine
-#: the fast path accelerates.  The real-numerics points keep the
-#: end-to-end trajectory honest: there the dense-solver flops on the
-#: critical path bound the achievable speedup.
+#: the fast path accelerates.  ``ime-xskel`` at the same size is its IMe
+#: twin: every level runs through the fused pipeline, so its two modes
+#: and the committed point guard the pipeline's modeled fields.  The
+#: real-numerics points keep the end-to-end trajectory honest: there
+#: the dense-solver flops on the critical path bound the achievable
+#: speedup.
 DEFAULT_POINTS: tuple[BenchPoint, ...] = (
     BenchPoint("ime", 1080, 4, quick=True),
     BenchPoint("ime-ft", 1080, 4, quick=True),
@@ -76,6 +79,7 @@ DEFAULT_POINTS: tuple[BenchPoint, ...] = (
     BenchPoint("scalapack", 2160, 16, nb=48, quick=True),
     BenchPoint("scalapack", 4320, 16, nb=48),
     BenchPoint("scalapack-xskel", 4320, 16, nb=48),
+    BenchPoint("ime-xskel", 4320, 16),
 )
 
 #: ``repro bench --skeleton``: the paper's largest matrix at Table-1 rank

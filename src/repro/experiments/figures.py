@@ -19,11 +19,19 @@ from __future__ import annotations
 from repro.cluster.machine import MachineSpec, marconi_a3
 from repro.cluster.placement import LoadShape
 from repro.experiments.configs import ALGORITHMS, PAPER_RANKS
-from repro.experiments.runner import run_analytic
+from repro.experiments.runner import run_analytic_batch
 from repro.workloads.generator import PAPER_MATRIX_SIZES
 
 _SHAPES = (LoadShape.FULL, LoadShape.HALF_ONE_SOCKET,
            LoadShape.HALF_TWO_SOCKETS)
+
+
+def _batch(machine: MachineSpec, points: list[tuple]) -> dict:
+    """``{(algorithm, n, ranks, shape): ConfigResult}`` for ``points``,
+    from one :func:`run_analytic_batch` call."""
+    requests = [{"algorithm": a, "n": n, "ranks": r, "shape": shape}
+                for a, n, r, shape in points]
+    return dict(zip(points, run_analytic_batch(requests, machine)))
 
 
 def figure3(machine: MachineSpec | None = None,
@@ -32,17 +40,40 @@ def figure3(machine: MachineSpec | None = None,
 
     Returns ``{algorithm: {shape.value: {n: energy_J}}}``.
     """
-    machine = machine or marconi_a3()
-    out: dict = {}
-    for algorithm in ALGORITHMS:
-        out[algorithm] = {}
-        for shape in _SHAPES:
-            series = {}
-            for n in PAPER_MATRIX_SIZES:
-                r = run_analytic(algorithm, n, ranks, shape, machine)
-                series[n] = r.mean_total_j
-            out[algorithm][shape.value] = series
-    return out
+    res = _batch(machine or marconi_a3(),
+                 [(a, n, ranks, shape) for a in ALGORITHMS
+                  for shape in _SHAPES for n in PAPER_MATRIX_SIZES])
+    return {a: {shape.value: {n: res[a, n, ranks, shape].mean_total_j
+                              for n in PAPER_MATRIX_SIZES}
+                for shape in _SHAPES}
+            for a in ALGORITHMS}
+
+
+def _full_series(machine: MachineSpec | None, by_ranks: bool,
+                 fields: dict[str, str]) -> dict:
+    """Figures 4–7: every algorithm's FULL-deployment series, from one
+    :func:`run_analytic_batch` call.
+
+    With ``by_ranks`` the series are keyed by rank count and their
+    points by matrix dimension, otherwise the other way round; each
+    point maps the output names of ``fields`` to the named
+    :class:`ConfigResult` attributes.
+    """
+    outer, inner = ((PAPER_RANKS, PAPER_MATRIX_SIZES) if by_ranks
+                    else (PAPER_MATRIX_SIZES, PAPER_RANKS))
+
+    def point(a, o, i):
+        return (a, i, o, LoadShape.FULL) if by_ranks \
+            else (a, o, i, LoadShape.FULL)
+
+    res = _batch(machine or marconi_a3(),
+                 [point(a, o, i) for a in ALGORITHMS
+                  for o in outer for i in inner])
+    return {a: {o: {i: {name: getattr(res[point(a, o, i)], attr)
+                        for name, attr in fields.items()}
+                    for i in inner}
+                for o in outer}
+            for a in ALGORITHMS}
 
 
 def figure4(machine: MachineSpec | None = None) -> dict:
@@ -50,18 +81,8 @@ def figure4(machine: MachineSpec | None = None) -> dict:
 
     Returns ``{algorithm: {ranks: {n: {"energy_j", "duration_s"}}}}``.
     """
-    machine = machine or marconi_a3()
-    out: dict = {}
-    for algorithm in ALGORITHMS:
-        out[algorithm] = {}
-        for ranks in PAPER_RANKS:
-            series = {}
-            for n in PAPER_MATRIX_SIZES:
-                r = run_analytic(algorithm, n, ranks, LoadShape.FULL, machine)
-                series[n] = {"energy_j": r.mean_total_j,
-                             "duration_s": r.mean_duration}
-            out[algorithm][ranks] = series
-    return out
+    return _full_series(machine, True, {"energy_j": "mean_total_j",
+                                        "duration_s": "mean_duration"})
 
 
 def figure5(machine: MachineSpec | None = None) -> dict:
@@ -69,18 +90,8 @@ def figure5(machine: MachineSpec | None = None) -> dict:
 
     Returns ``{algorithm: {n: {ranks: {"energy_j", "duration_s"}}}}``.
     """
-    machine = machine or marconi_a3()
-    out: dict = {}
-    for algorithm in ALGORITHMS:
-        out[algorithm] = {}
-        for n in PAPER_MATRIX_SIZES:
-            series = {}
-            for ranks in PAPER_RANKS:
-                r = run_analytic(algorithm, n, ranks, LoadShape.FULL, machine)
-                series[ranks] = {"energy_j": r.mean_total_j,
-                                 "duration_s": r.mean_duration}
-            out[algorithm][n] = series
-    return out
+    return _full_series(machine, False, {"energy_j": "mean_total_j",
+                                         "duration_s": "mean_duration"})
 
 
 def figure6(machine: MachineSpec | None = None) -> dict:
@@ -88,18 +99,8 @@ def figure6(machine: MachineSpec | None = None) -> dict:
 
     Returns ``{algorithm: {ranks: {n: {"energy_j", "power_w"}}}}``.
     """
-    machine = machine or marconi_a3()
-    out: dict = {}
-    for algorithm in ALGORITHMS:
-        out[algorithm] = {}
-        for ranks in PAPER_RANKS:
-            series = {}
-            for n in PAPER_MATRIX_SIZES:
-                r = run_analytic(algorithm, n, ranks, LoadShape.FULL, machine)
-                series[n] = {"energy_j": r.mean_total_j,
-                             "power_w": r.mean_power_w}
-            out[algorithm][ranks] = series
-    return out
+    return _full_series(machine, True, {"energy_j": "mean_total_j",
+                                        "power_w": "mean_power_w"})
 
 
 def figure7(machine: MachineSpec | None = None) -> dict:
@@ -107,15 +108,5 @@ def figure7(machine: MachineSpec | None = None) -> dict:
 
     Returns ``{algorithm: {n: {ranks: {"energy_j", "power_w"}}}}``.
     """
-    machine = machine or marconi_a3()
-    out: dict = {}
-    for algorithm in ALGORITHMS:
-        out[algorithm] = {}
-        for n in PAPER_MATRIX_SIZES:
-            series = {}
-            for ranks in PAPER_RANKS:
-                r = run_analytic(algorithm, n, ranks, LoadShape.FULL, machine)
-                series[ranks] = {"energy_j": r.mean_total_j,
-                                 "power_w": r.mean_power_w}
-            out[algorithm][n] = series
-    return out
+    return _full_series(machine, False, {"energy_j": "mean_total_j",
+                                         "power_w": "mean_power_w"})

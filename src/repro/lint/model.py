@@ -39,7 +39,7 @@ ENGINE_HELPERS = frozenset({"sleep", "now", "wait", "wake_at"})
 COLLECTIVE_METHODS = frozenset({
     "bcast", "reduce", "allreduce", "allgather", "gather", "scatter",
     "gatherv", "scatterv", "reduce_scatter", "scan", "alltoall", "barrier",
-    "split", "split_type", "dup",
+    "split", "split_type", "dup", "bcast_chain",
 })
 
 #: keyword names that mark a call as MPI-shaped even on an

@@ -35,7 +35,11 @@ Rules:
 * **MPIS002** — schedule asymmetry: two exact rank classes whose
   collective sequences (op + literal root, loops compared
   structurally) differ — the static form of the sanitizer's
-  ``CollectiveMismatchError``/``DeadlockError``.
+  ``CollectiveMismatchError``/``DeadlockError``.  A
+  ``bcast_chain(count, root)`` is a run of ``bcast`` calls from
+  ``root`` whose length the rule does not assume (a chain may raise
+  before it starts, or its count may be computed), so it matches any
+  run of such ``bcast`` calls, or none.
 * **MPIS003** — guaranteed self-deadlock: a class with known rank K
   blocking-sends to ``dest=K`` or blocking-recvs from ``source=K``.
 
@@ -202,8 +206,11 @@ def _comm_ops(stmt: ast.stmt) -> list[Op]:
                           _literal(node, "recvtag", None), None,
                           node.lineno))
         elif name in COLLECTIVE_METHODS:
-            ops.append(Op("coll", name, None, None,
-                          _literal(node, "root", None), node.lineno))
+            # ``bcast_chain(count, root)`` is the one that takes its
+            # root positionally.
+            root = _literal(node, "root",
+                            1 if name == "bcast_chain" else None)
+            ops.append(Op("coll", name, None, None, root, node.lineno))
     ops.sort(key=lambda op: op.line)
     return ops
 
@@ -430,28 +437,48 @@ def _check_matching(module: ModuleInfo, fn: FunctionInfo,
     return findings
 
 
-def _coll_schedule(cls: RankClass) -> tuple:
-    out = []
-    for item in cls.ops:
-        if isinstance(item, Loop):
-            sub = _coll_schedule_items(item.body)
-            if sub:
-                out.append(("loop", sub))
-        elif item.kind == "coll":
-            out.append(("coll", item.op, item.root))
-    return tuple(out)
-
-
-def _coll_schedule_items(items) -> tuple:
+def _coll_schedule(items) -> tuple:
+    """Collective schedule of ``items``: ``("coll", op, root)``,
+    ``("loop", sub)``, and ``("run", root)`` for a ``bcast_chain``."""
     out = []
     for item in items:
         if isinstance(item, Loop):
-            sub = _coll_schedule_items(item.body)
+            sub = _coll_schedule(item.body)
             if sub:
                 out.append(("loop", sub))
-        elif item.kind == "coll":
+        elif item.kind != "coll":
+            continue
+        elif item.op == "bcast_chain":
+            out.append(("run", item.root))
+        else:
             out.append(("coll", item.op, item.root))
     return tuple(out)
+
+
+def _bcasts_from(item, root) -> bool:
+    """Whether ``item`` runs only ``bcast`` calls from ``root``."""
+    if item[0] == "loop":
+        return all(_bcasts_from(sub, root) for sub in item[1])
+    if item[0] == "run":
+        return item[1] == root
+    return item[1] == "bcast" and item[2] == root
+
+
+def _same_schedule(a: tuple, b: tuple) -> bool:
+    """Whether two collective schedules can be the same call sequence."""
+    if not a or not b:
+        rest = a or b
+        return all(item[0] == "run" for item in rest)
+    x, y = a[0], b[0]
+    if y[0] == "run" and x[0] != "run":
+        a, b, x, y = b, a, y, x
+    if x[0] == "run":
+        # The run ends here, or it covers the other side's next item.
+        return (_same_schedule(a[1:], b)
+                or _bcasts_from(y, x[1]) and _same_schedule(a, b[1:]))
+    if x[0] == "loop" and y[0] == "loop":
+        return _same_schedule(x[1], y[1]) and _same_schedule(a[1:], b[1:])
+    return x == y and _same_schedule(a[1:], b[1:])
 
 
 def _describe_schedule(schedule: tuple) -> str:
@@ -459,6 +486,8 @@ def _describe_schedule(schedule: tuple) -> str:
     for item in schedule:
         if item[0] == "loop":
             parts.append(f"loop[{_describe_schedule(item[1])}]")
+        elif item[0] == "run":
+            parts.append(f"bcast_chain(root={item[1]})")
         else:
             _, op, root = item
             parts.append(op if root is None else f"{op}(root={root})")
@@ -475,8 +504,8 @@ def _check_symmetry(module: ModuleInfo, fn: FunctionInfo,
         for b in exact[i + 1:]:
             if reported:
                 break
-            sa, sb = _coll_schedule(a), _coll_schedule(b)
-            if sa != sb:
+            sa, sb = _coll_schedule(a.ops), _coll_schedule(b.ops)
+            if not _same_schedule(sa, sb):
                 line = min((op.line for op in _flat_ops(a.ops + b.ops)
                             if op.kind == "coll"),
                            default=fn.node.lineno)

@@ -34,9 +34,19 @@ time *t* only ever computes completion times ``>= t``, because the chain
 of ``max(entry, arrival) + cpu_overhead`` recurrences passes through the
 arrival from the rank whose entry (at time *t*) completed the inputs.
 
-The compositions (``allreduce``, ``allgather``, ``barrier``, ``scan``,
-``reduce_scatter``, ``split``) are built on these primitives and need no
-fast path of their own; ``alltoall`` intentionally stays message-level.
+Fused replays
+-------------
+Where every rank's completion passes through one root's fold over all
+entries — ``allreduce``/``barrier`` (reduce then bcast) and
+``allgather`` (gather then bcast), and the fused ``Communicator.pipeline``
+of :mod:`repro.simmpi.fastp2p` — there is nothing to cascade: every rank
+enters one :class:`_Replay` record (:func:`_rendezvous`) and parks once,
+and the last entrant replays the composition over the known entry times
+with two stage loops, :func:`_up_stage` (reduce or gather) and
+:func:`_down_stage` (bcast), then wakes the others in rank order
+(:func:`_wake`).  The other compositions (``scan``, ``reduce_scatter``,
+``split``) are built on the primitives; ``alltoall`` intentionally stays
+message-level.
 
 A *chained* broadcast (:func:`fast_bcast_chain`, behind
 ``Communicator.bcast_chain``) lets a non-root rank receive ``k``
@@ -55,10 +65,15 @@ src_node, dst_node)`` — :class:`~repro.simmpi.fabric.UniformFabric`, or
 injection serialization — a fast-path run is *exactly* equivalent to a
 message-level run: identical solver results (same reduction-tree
 associativity, same copy-on-send semantics), bit-identical virtual times,
-and therefore identical energy totals, plus identical
-:meth:`~repro.simmpi.comm.TrafficStats.record` counters.
+identical :meth:`~repro.simmpi.comm.TrafficStats.record` counters, and
+identical energy totals as long as no package power cap binds.  Under a
+binding cap the two paths may resume ranks of one socket at equal times
+in a different order, and ``RaplPackage.begin_core_activity`` prices a
+compute segment by the socket's active cores at its start, so per-node
+energies can differ in the last digits.
 ``tests/test_fast_collectives.py`` asserts this across all collectives and
-communicator splits; ``docs/performance.md`` documents it.
+communicator splits, and pins the capped case as a strict xfail;
+``docs/performance.md`` documents it.
 
 Two details make the virtual times bit-identical rather than merely
 approximately equal: every hop reproduces the float round trips of
@@ -80,9 +95,9 @@ callable (:func:`repro.simmpi.fabric.schedule_of`) at the same point of
 the same loop, so seeded jitter draws and NIC queue updates keep their
 order.  Traffic counters are booked once per loop with
 ``TrafficStats.record_bulk`` (order-free integer sums); tracer metric
-lanes stay per hop.  The fused pipeline stages of
-:mod:`repro.simmpi.fastp2p` run only on constant-cost fabrics, so they
-have the constants branch alone.
+lanes stay per hop.  The fused pipeline of :mod:`repro.simmpi.fastp2p`
+runs only on constant-cost fabrics, so it drives the stage loops with
+the constants alone.
 
 With a *stateful* fabric (seeded jitter, ``serialize_injection``) the fast
 path still charges the same cost model per modeled hop, but hops may
@@ -836,71 +851,117 @@ def fast_scatter(comm, payloads: list | None, root: int,
     return mine
 
 
-# ------------------------------------------- fused compositions (untraced)
+# ------------------------------------------------------------ fused replays
 
-class _FusedRec:
-    """Rendezvous record for fused reduce+bcast compositions.
+class _Replay:
+    """Rendezvous record of a fused composition (:func:`_rendezvous`).
 
-    Every member's completion depends on the root's folded value, which
-    depends on every member's entry — so the whole collective is computed
-    by whichever rank enters last, and every other rank parks exactly
-    once.  Used only when no tracer is attached (the traced path keeps
-    the reduce→bcast composition so nested spans match the message path).
-    ``wire`` holds an allgather member's own share of its upward message.
+    Every member's completion depends on the first stage root's folded
+    value, which depends on every member's entry — so the whole
+    composition is replayed by whichever rank enters last, and every
+    other rank parks exactly once.  ``contrib`` holds each rank's
+    contribution (a payload, or a pipeline's stage tuples).
     """
 
-    __slots__ = ("entry", "procs", "acc", "wire", "remaining")
+    __slots__ = ("entry", "procs", "contrib", "remaining")
 
     def __init__(self, size: int):
         self.entry: list = [None] * size
         self.procs: list = [None] * size
-        self.acc: list = [None] * size
-        self.wire: list = [0] * size
+        self.contrib: list = [None] * size
         self.remaining = size
 
 
-def _fused_times(comm, rec: _FusedRec, size: int, fold: Callable,
-                 finalize: Callable | None):
-    """Closed-form completion times/values of reduce(root 0) + bcast(root 0).
+def _rendezvous(comm, seq: int, contribution) -> _Replay:
+    """Enter this rank into the replay record of collective ``seq``.
 
-    Replays both phases with the exact recurrences of :func:`_up_cascade`
-    and :func:`_bcast_cascade` (same fold order, same float round trips,
-    same by-reference subtree dicts for allgather), one loop per phase
-    in topological order.  Returns ``(compl, values)`` lists indexed by
-    rank.
+    A plain function, so an entry adds no generator frame: the caller
+    parks on ``Park(rec.procs, comm.rank)`` while ``rec.remaining`` is
+    non-zero; otherwise it is the last entrant, the record is already
+    retired, and the caller replays and calls :func:`_wake`.
     """
     world = comm.world
-    fabric = world.fabric
-    schedule, costs = _pricing(fabric, hop_costs(fabric))
+    key = (comm.cid, _COLL_TAG_BASE - seq)
+    colls = world._fast_colls
+    rec = colls.get(key)
+    if rec is None:
+        rec = colls[key] = _Replay(comm.size)
+    rank = comm.rank
+    rec.entry[rank] = world.sim.now
+    rec.contrib[rank] = contribution
+    rec.remaining -= 1
+    if not rec.remaining:
+        del colls[key]
+    return rec
+
+
+def _wake(sim, rec: _Replay, compl: list, values: list) -> None:
+    """Resume every parked member at its completion time, in rank order."""
+    for u, p in enumerate(rec.procs):
+        if p is not None:
+            sim.schedule_at(compl[u], p._step, values[u])
+
+
+def _up_stage(comm, pricing, entry: list, contrib: list, root: int,
+             op: Callable | None):
+    """Binomial reduce (``op``) or gather (``op is None``) over known
+    entry times; returns ``(compl, result)``.
+
+    One loop over the hops of :func:`_up_cascade` in descending virtual
+    rank, so every child (vrank > parent) is folded, deepest-first,
+    before its parent sends: the same ``max(entry, arrival) +
+    cpu_overhead`` recurrence and float round trips.  A reduction copies
+    each rank's contribution and each hop's value and sizes it; a gather
+    sums its wire sizes up the tree and copies every contribution once,
+    straight into the root's rank-ordered list.  ``pricing`` is
+    :func:`_pricing`'s ``(schedule, costs)``; ``entry``/``contrib``/
+    ``compl`` are indexed by rank, ``result`` is the root's value.
+    """
+    schedule, costs = pricing
     intra_lat, intra_bw, inter_lat, inter_bw, ovh, ovh_pb = costs
-    cpu_overhead = fabric.cpu_overhead
-    merge = fold is _merge
+    world = comm.world
+    cpu_overhead = world.fabric.cpu_overhead
+    size = comm.size
     nodes = comm._nodes
-    entry, acc, wire = rec.entry, rec.acc, rec.wire
+    if root:
+        nodes = nodes[root:] + nodes[:root]
+        entry = entry[root:] + entry[:root]
     children_desc = _children_desc_table(size)
     parents = _parents_table(size)
-    # ---- reduce phase: children (always > parent) fold deepest-first
+    gather = op is None
+    if gather:
+        wire = [DEFAULT_OBJECT_BYTES + payload_nbytes(p) for p in contrib]
+        if root:
+            wire = wire[root:] + wire[:root]
+    else:
+        if root:
+            contrib = contrib[root:] + contrib[:root]
+        wire = [0] * size
+        value: list = [None] * size
     arrival = [0.0] * size
     ovh_in = [0.0] * size
-    red_val: list = [None] * size
-    red_compl = [0.0] * size
+    compl = [0.0] * size
     total = inter_msgs = inter_bytes = 0
     for v in range(size - 1, -1, -1):
         t = entry[v]
-        a = acc[v]
         abytes = wire[v]
+        if not gather:
+            a = copy_payload(contrib[v])
         for c in children_desc[v]:
             x = arrival[c]
             if x > t:
                 t = x
             t = t + ovh_in[c]
-            a = fold(a, red_val[c])
-            abytes += wire[c]
-        if v == 0:
-            red_compl[0] = t
+            if gather:
+                abytes += wire[c]
+            else:
+                a = op(a, value[c])
+        if not v:
+            compl[0] = t
             break
-        if not merge:
+        if not gather:
             abytes = payload_nbytes(a)
+            value[v] = copy_payload(a)
         src_node = nodes[v]
         dst_node = nodes[parents[v]]
         if dst_node == src_node:
@@ -916,20 +977,43 @@ def _fused_times(comm, rec: _FusedRec, size: int, fold: Callable,
             arrival[v] = t + (schedule(abytes, src_node, dst_node, t) - t)
             o = cpu_overhead(abytes)
         total += abytes
-        red_val[v] = a if merge else copy_payload(a)
         wire[v] = abytes
         ovh_in[v] = o
-        red_compl[v] = t + ((t + o) - t)
-    # ---- bcast phase: entries are the reduce completions
-    root_payload = a if finalize is None else finalize(a)
-    nb = payload_nbytes(root_payload)
+        compl[v] = t + ((t + o) - t)
+    if world.track_traffic:
+        world.stats.record_bulk(size - 1, total, inter_msgs, inter_bytes)
+    if root:
+        cut = size - root
+        compl = compl[cut:] + compl[:cut]
+    return compl, list(map(copy_payload, contrib)) if gather else a
+
+
+def _down_stage(comm, pricing, entry: list, payload: Any, root: int, nb: int):
+    """Binomial broadcast over known entry times; returns ``(compl,
+    values)``, both indexed by rank.
+
+    One loop over the hops of :func:`_bcast_cascade` in ascending
+    virtual rank, so every parent (vrank < child) sends first: the root
+    sends eagerly down the tree, a non-root forwards at ``max(entry,
+    arrival) + cpu_overhead``.  ``nb`` is the modeled wire size
+    (skeleton programs send placeholder payloads).  The root's value is
+    the payload object itself, every other rank's a copy.
+    """
+    schedule, costs = pricing
+    world = comm.world
+    fabric = world.fabric
+    size = comm.size
     overhead, dt_intra, dt_inter = _fixed_hop(fabric, schedule, costs, nb)
+    nodes = comm._nodes
+    if root:
+        nodes = nodes[root:] + nodes[:root]
+        entry = entry[root:] + entry[:root]
     children_tbl = _children_table(size)
     barr = [0.0] * size
     compl = [0.0] * size
     inter = 0
     for v in range(size):
-        t = red_compl[v]
+        t = entry[v]
         if v:
             b = barr[v]
             if b > t:
@@ -952,51 +1036,37 @@ def _fused_times(comm, rec: _FusedRec, size: int, fold: Callable,
                 t = t + ((t + overhead) - t)
         compl[v] = t
     if world.track_traffic:
-        stats = world.stats
-        stats.record_bulk(size - 1, total, inter_msgs, inter_bytes)
-        stats.record_bulk(size - 1, nb * (size - 1), inter, nb * inter)
-    return compl, _bcast_values(root_payload, size, 0)
+        world.stats.record_bulk(size - 1, nb * (size - 1), inter, nb * inter)
+    if root:
+        cut = size - root
+        compl = compl[cut:] + compl[:cut]
+    return compl, _bcast_values(payload, size, root)
 
 
-def _fast_fused(comm, payload, fold: Callable, finalize: Callable | None):
-    """Shared driver for the fused all-to-all-rooted compositions."""
+def _rooted_all(comm, payload, op: Callable | None):
+    """Fused reduce (``op``) or gather (``op is None``) at rank 0, then
+    a bcast of the root's value: one park/wake per rank."""
     world = comm.world
     sim = world.sim
     # Two tags — the composed reduce's and bcast's — keep tags lockstep.
     seq = comm._coll_seq + 1
     comm._coll_seq = seq + 1
-    size = comm.size
-    merge = fold is _merge
-    if size == 1:
-        mine = {comm.rank: copy_payload(payload)} if merge \
-            else copy_payload(payload)
-        return copy_payload(mine if finalize is None else finalize(mine))
-    v = comm.rank  # both composed phases are rooted at rank 0
-    key = (comm.cid, _COLL_TAG_BASE - seq)
-    colls = world._fast_colls
-    rec = colls.get(key)
-    if rec is None:
-        rec = colls[key] = _FusedRec(size)
-    now = sim.now
-    rec.entry[v] = now
-    if merge:
-        rec.acc[v] = {v: copy_payload(payload)}
-        rec.wire[v] = DEFAULT_OBJECT_BYTES + payload_nbytes(payload)
-    else:
-        rec.acc[v] = copy_payload(payload)
-    rec.remaining -= 1
+    if comm.size == 1:
+        return copy_payload([payload] if op is None else payload)
+    rank = comm.rank
+    rec = _rendezvous(comm, seq, payload)
     if rec.remaining:
-        return (yield Park(rec.procs, v))
-    del world._fast_colls[key]
-    compl, values = _fused_times(comm, rec, size, fold, finalize)
-    for u in range(size):
-        p = rec.procs[u]
-        if p is not None:
-            sim.schedule_at(compl[u], p._step, values[u])
-    t = compl[v]
-    if t > now:
+        return (yield Park(rec.procs, rank))
+    fabric = world.fabric
+    pricing = _pricing(fabric, hop_costs(fabric))
+    compl, result = _up_stage(comm, pricing, rec.entry, rec.contrib, 0, op)
+    compl, values = _down_stage(comm, pricing, compl, result, 0,
+                               payload_nbytes(result))
+    _wake(sim, rec, compl, values)
+    t = compl[rank]
+    if t > sim.now:
         yield SleepUntil(t)
-    return values[v]
+    return values[rank]
 
 
 def _add(a, b):
@@ -1009,15 +1079,15 @@ def _ordered_list(acc: dict):
 
 def fast_allreduce(comm, payload: Any, op: Callable):
     """Fused reduce+bcast: one park/wake per rank, identical virtual times."""
-    return _fast_fused(comm, payload, op, None)
+    return _rooted_all(comm, payload, op)
 
 
 def fast_allgather(comm, payload: Any):
     """Fused gather+bcast of the rank-ordered list."""
-    return _fast_fused(comm, payload, _merge, _ordered_list)
+    return _rooted_all(comm, payload, None)
 
 
 def fast_barrier(comm):
     """Fused barrier (reduce+bcast of an empty token, result discarded)."""
-    yield from _fast_fused(comm, 0, _add, None)
+    yield from _rooted_all(comm, 0, _add)
     return None

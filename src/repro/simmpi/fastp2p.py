@@ -14,11 +14,10 @@ objects.
 On top of the flow records, :func:`fast_pipeline` executes a
 ``Communicator.pipeline`` composition — a gather→bcast chain such as IMe's
 per-level exchange — as one fused rendezvous: every rank parks exactly
-once and the last entrant replays all stages with the exact
-:mod:`repro.simmpi.fastcoll` recurrences (same fold order, same float
-round trips), so virtual times, traffic counters, and solver values are
-bit-identical to driving the stages one collective at a time.  Each
-stage is one hop loop (:func:`_gather_stage`, :func:`_bcast_stage`)
+once and the last entrant replays all stages, so virtual times, traffic
+counters, and solver values are bit-identical to driving the stages one
+collective at a time.  The rendezvous and the stage loops are the fused
+collectives' own (see "Fused replays" in :mod:`repro.simmpi.fastcoll`),
 priced from the fabric's constant hop costs.
 
 Both run under ``Simulator(fast=True)`` where
@@ -47,8 +46,8 @@ Equivalence contract
 --------------------
 Identical to :mod:`repro.simmpi.fastcoll`'s (see its module docstring):
 on every fabric the flow path runs on, it is bit-identical to the
-message-level path in virtual time, energy, message/byte counters, and
-payload values.  ``_msg_seq`` is consumed exactly as the message path
+message-level path in virtual time, message/byte counters, and payload
+values, and in energy as long as no package power cap binds.  ``_msg_seq`` is consumed exactly as the message path
 would (one per send, one per posted receive), so flushed flows interleave
 with mailbox arbitration exactly as an all-message run.
 ``tests/test_fast_p2p.py`` asserts the contract end to end on IMe and
@@ -62,21 +61,11 @@ from bisect import insort
 from operator import itemgetter
 from typing import Any
 
-from repro.simmpi.datatypes import (
-    DEFAULT_OBJECT_BYTES,
-    copy_payload,
-    payload_nbytes,
-)
+from repro.simmpi.datatypes import copy_payload, payload_nbytes
 from repro.simmpi.engine import Park, SleepUntil
 from repro.simmpi.errors import CommMismatchError, SimMPIError
 from repro.simmpi import aggregate
-from repro.simmpi.fastcoll import (
-    _bcast_values,
-    _children_desc_table,
-    _children_table,
-    _COLL_TAG_BASE,
-    _parents_table,
-)
+from repro.simmpi.fastcoll import _down_stage, _rendezvous, _up_stage, _wake
 
 
 class _Flow:
@@ -265,179 +254,48 @@ def degrade(comm) -> None:
 
 # ------------------------------------------------- fused pipelines (untraced)
 
-class _PipeRec:
-    """Rendezvous record for a fused pipeline composition.
-
-    Every member's completion depends on upstream stage roots, whose
-    data-ready times depend on every member's entry — so, as with
-    :class:`~repro.simmpi.fastcoll._FusedRec`, the whole chain is
-    computed by whichever rank enters last, and every other rank parks
-    exactly once.
-    """
-
-    __slots__ = ("entry", "procs", "steps", "remaining")
-
-    def __init__(self, size: int):
-        self.entry: list = [None] * size
-        self.procs: list = [None] * size
-        self.steps: list = [None] * size
-        self.remaining = size
-
-
-def _gather_stage(comm, costs, entry: list, payloads: list, root: int):
-    """Closed-form binomial gather with per-rank entry times ``entry``.
-
-    One loop over the hops of :func:`repro.simmpi.fastcoll._up_cascade`
-    (same deepest-first child fold, same ``max(entry, arrival) +
-    cpu_overhead`` recurrence, same float round trips), every hop priced
-    from the fabric's constant hop costs ``costs``, over plain lists
-    rotated to the root (index = virtual rank).  ``if a > t: t = a`` is
-    builtin ``max(t, a)`` spelled without the call.  Every payload is copied
-    once, straight into the root's rank-ordered list; the subtree wire
-    sizes accumulate inline; the traffic is booked once.  Returns
-    per-rank completion times and results (the list on the root,
-    ``None`` elsewhere).
-    """
-    size = comm.size
-    world = comm.world
-    intra_lat, intra_bw, inter_lat, inter_bw, ovh, ovh_pb = costs
-    nodes = comm._nodes
-    nodes_v = nodes[root:] + nodes[:root]
-    entry_v = entry[root:] + entry[:root]
-    pbytes = list(map(payload_nbytes, payloads))
-    pbytes_v = pbytes[root:] + pbytes[:root]
-    children_desc = _children_desc_table(size)
-    parents = _parents_table(size)
-    arrival = [0.0] * size
-    wire = [0] * size
-    ovh_in = [0.0] * size
-    compl_v = [0.0] * size
-    inter_msgs = inter_bytes = 0
-    # Virtual ranks descending: every child (vrank > parent) folds first.
-    for v in range(size - 1, 0, -1):
-        t = entry_v[v]
-        abytes = DEFAULT_OBJECT_BYTES + pbytes_v[v]
-        for c in children_desc[v]:
-            a = arrival[c]
-            if a > t:
-                t = a
-            t = t + ovh_in[c]
-            abytes += wire[c]
-        src_node = nodes_v[v]
-        dst_node = nodes_v[parents[v]]
-        if dst_node == src_node:
-            dt = intra_lat + abytes / intra_bw
-        else:
-            dt = inter_lat + abytes / inter_bw
-            inter_msgs += 1
-            inter_bytes += abytes
-        arrival[v] = t + ((t + dt) - t)
-        o = ovh + ovh_pb * abytes
-        wire[v] = abytes
-        ovh_in[v] = o
-        compl_v[v] = t + ((t + o) - t)
-    t = entry_v[0]
-    for c in children_desc[0]:
-        a = arrival[c]
-        if a > t:
-            t = a
-        t = t + ovh_in[c]
-    compl_v[0] = t
-    if world.track_traffic:
-        world.stats.record_bulk(size - 1, sum(wire), inter_msgs, inter_bytes)
-    results: list = [None] * size
-    results[root] = list(map(copy_payload, payloads))
-    cut = size - root
-    return compl_v[cut:] + compl_v[:cut], results
-
-
-def _bcast_stage(comm, costs, entry: list, payload: Any, root: int, nb: int):
-    """Closed-form binomial broadcast with per-rank entry times ``entry``.
-
-    One loop over the hops of
-    :func:`repro.simmpi.fastcoll._bcast_cascade` (same contract as
-    :func:`_gather_stage`): the root sends eagerly down the tree, a
-    non-root forwards at ``max(entry, arrival) + cpu_overhead``.  ``nb``
-    is the modeled wire size (skeleton programs send placeholder
-    payloads).  The root's result is the payload object itself, every
-    other rank's a copy — the message-level ownership semantics.
-    """
-    size = comm.size
-    world = comm.world
-    overhead = costs.ovh + costs.ovh_pb * nb
-    dt_intra = costs.intra_lat + nb / costs.intra_bw
-    dt_inter = costs.inter_lat + nb / costs.inter_bw
-    nodes = comm._nodes
-    nodes_v = nodes[root:] + nodes[:root]
-    entry_v = entry[root:] + entry[:root]
-    children_tbl = _children_table(size)
-    barr = [0.0] * size
-    compl_v = [0.0] * size
-    inter = 0
-    # Virtual ranks ascending: every parent (vrank < child) sends first.
-    for v in range(size):
-        t = entry_v[v]
-        if v:
-            b = barr[v]
-            if b > t:
-                t = b
-            t = t + overhead
-        children = children_tbl[v]
-        if children:
-            src_node = nodes_v[v]
-            for c in children:
-                dst_node = nodes_v[c]
-                if dst_node == src_node:
-                    dt = dt_intra
-                else:
-                    dt = dt_inter
-                    inter += 1
-                barr[c] = t + ((t + dt) - t)
-                t = t + ((t + overhead) - t)
-        compl_v[v] = t
-    if world.track_traffic:
-        world.stats.record_bulk(size - 1, nb * (size - 1), inter, nb * inter)
-    cut = size - root
-    return compl_v[cut:] + compl_v[:cut], _bcast_values(payload, size, root)
-
-
 #: a pipeline stage's ``(kind, root)``, which every rank must agree on
 _stage_shape = itemgetter(0, 1)
 
 
-def _pipe_times(comm, rec: _PipeRec, size: int):
-    """Replay every stage of a fused pipeline; returns per-rank
-    completion times and per-rank stage-result lists.
+def _pipe_times(comm, steps: list, entry: list):
+    """Replay every stage of a fused pipeline on the shared stage loops
+    of :mod:`repro.simmpi.fastcoll`; ``steps``/``entry`` are every
+    rank's stage tuples and entry time.  Returns per-rank completion
+    times and per-rank stage-result lists.
 
-    Each stage is one hop loop priced from the fabric's constant hop
-    costs (:func:`repro.simmpi.aggregate.vector_env`), which
+    Every stage is priced from the fabric's constant hop costs
+    (:func:`repro.simmpi.aggregate.vector_env`), which
     ``Communicator.pipeline`` guarantees before it fuses.
     """
-    steps0 = rec.steps[0]
+    size = comm.size
+    steps0 = steps[0]
     shape0 = list(map(_stage_shape, steps0))
     for r in range(1, size):
-        shape = list(map(_stage_shape, rec.steps[r]))
+        shape = list(map(_stage_shape, steps[r]))
         if shape != shape0:
             raise CommMismatchError(
                 f"pipeline stage shapes differ between ranks 0 and {r}: "
                 f"{shape0} vs {shape}"
             )
-    costs = aggregate.vector_env(comm.world)
-    t = list(rec.entry)
+    pricing = (None, aggregate.vector_env(comm.world))
+    t = entry
     stage_results: list[list] = []
     for si, step0 in enumerate(steps0):
         kind = step0[0]
         root = step0[1]
         if kind == "gather":
-            payloads = [steps[si][2] for steps in rec.steps]
-            t, res = _gather_stage(comm, costs, t, payloads, root)
+            t, gathered = _up_stage(comm, pricing, t,
+                                    [st[si][2] for st in steps], root, None)
+            res = [None] * size
+            res[root] = gathered
         elif kind == "bcast":
-            producer = rec.steps[root][si][2]
+            producer = steps[root][si][2]
             prev = stage_results[si - 1][root] if si else None
             payload = producer(prev) if producer is not None else None
             nbytes = step0[3] if len(step0) > 3 else None
             nb = payload_nbytes(payload) if nbytes is None else nbytes
-            t, res = _bcast_stage(comm, costs, t, payload, root, nb)
+            t, res = _down_stage(comm, pricing, t, payload, root, nb)
         else:
             raise SimMPIError(f"unknown pipeline stage kind {kind!r}")
         stage_results.append(res)
@@ -449,43 +307,29 @@ def _pipe_times(comm, rec: _PipeRec, size: int):
 def fast_pipeline(comm, steps):
     """Fused execution of a ``Communicator.pipeline`` composition.
 
-    One park/wake per rank for the whole chain; bit-identical virtual
+    One park/wake per rank for the whole chain (the rendezvous of
+    :func:`repro.simmpi.fastcoll._rendezvous`); bit-identical virtual
     times, traffic counters, and values to the stage-by-stage reference.
-    Stage producers run inside the last entrant's cascade — their side
+    Stage producers run inside the last entrant's replay — their side
     effects land before any rank resumes, and an exception they raise
     surfaces on the last-entering rank's process rather than the stage
     root's (values and times are unaffected; use the reference path when
     debugging producer failures).
     """
-    world = comm.world
-    sim = world.sim
-    size = comm.size
-    if size == 1:
+    sim = comm.world.sim
+    if comm.size == 1:
         # Degenerate chain: the compose path is already all-local (and
         # consumes the stage tags itself).
         return (yield from comm._pipeline_compose(steps))
-    nsteps = len(steps)
     seq = comm._coll_seq + 1
-    comm._coll_seq += nsteps
-    key = (comm.cid, _COLL_TAG_BASE - seq)
-    colls = world._fast_colls
-    rec = colls.get(key)
-    if rec is None:
-        rec = colls[key] = _PipeRec(size)
-    now = sim.now
+    comm._coll_seq += len(steps)
     rank = comm.rank
-    rec.entry[rank] = now
-    rec.steps[rank] = steps
-    rec.remaining -= 1
+    rec = _rendezvous(comm, seq, steps)
     if rec.remaining:
         return (yield Park(rec.procs, rank))
-    del colls[key]
-    compl, results = _pipe_times(comm, rec, size)
-    for u in range(size):
-        p = rec.procs[u]
-        if p is not None:
-            sim.schedule_at(compl[u], p._step, results[u])
+    compl, results = _pipe_times(comm, rec.contrib, rec.entry)
+    _wake(sim, rec, compl, results)
     t = compl[rank]
-    if t > now:
+    if t > sim.now:
         yield SleepUntil(t)
     return results[rank]

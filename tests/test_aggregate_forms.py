@@ -16,10 +16,11 @@ message path.  The cases cover the solver grid, ft-IMe mid-solve
 recovery, wildcard/probe degradation, broadcasts with shuffled entry
 times, gathers whose senders reuse their buffers, a fabric swapped for a
 NIC-queueing one after the Job is built, and each pipeline stage on its
-own.  The pipeline stages fuse only on constant-cost fabrics, so their
-loops have the constants branch alone; the stage tests check them
-against the message path and against the numpy wave forms of
-``aggregate.py``, which have no engine caller.
+own.  The fused allreduce/allgather/barrier and the fused pipeline
+replay on one pair of stage loops (``fastcoll._up_stage``,
+``_down_stage``); the stage tests drive them with the constants, as the
+pipeline does, and check them against the message path and against the
+numpy wave forms of ``aggregate.py``, which have no engine caller.
 """
 
 import random
@@ -41,7 +42,7 @@ from repro.simmpi.comm import ANY_SOURCE, World
 from repro.simmpi.datatypes import DEFAULT_OBJECT_BYTES, payload_nbytes
 from repro.simmpi.engine import Delay, SleepUntil, Simulator
 from repro.simmpi.fabric import UniformFabric, hop_costs
-from repro.simmpi.fastp2p import _bcast_stage, _gather_stage
+from repro.simmpi.fastcoll import _down_stage, _up_stage
 from repro.solvers.ime.ft_parallel import FtOptions, ime_ft_parallel_program
 from repro.solvers.ime.parallel import ime_parallel_program
 from repro.solvers.scalapack.pdgesv import ScalapackOptions, pdgesv_program
@@ -431,7 +432,7 @@ def test_exact_skeleton_vector_scalar_identity_paper_ranks(algo, ranks):
     assert const.node_energy_j == calls.node_energy_j
 
 
-# ------------------------------------- pipeline stage loops, stage by stage
+# ---------------------------------------- fused stage loops, stage by stage
 def _stage_world(size, node_of, fast):
     """A fresh world on a jitter-free cluster fabric."""
     return World(Simulator(fast=fast), size,
@@ -521,11 +522,12 @@ def test_gather_stage_flat_matches_fabric_walk(size, node_map):
         entry = _entries(rng, size, i)
         payloads = [_ragged_payload(rng, r) for r in range(size)]
         before = flat.world.stats.bytes
-        t_flat, res_flat = _gather_stage(flat, costs, entry, payloads, root)
+        t_flat, gathered = _up_stage(flat, (None, costs), entry, payloads,
+                                     root, None)
+        res_flat = [None] * size
+        res_flat[root] = gathered
         stages.append(("gather", root, entry, payloads, None))
         outs.append((t_flat, res_flat))
-        assert all(res is None for r, res in enumerate(res_flat)
-                   if r != root)
         # Copy-on-send: no array in the root's list is a sender's buffer.
         assert not any(got is sent for got, sent
                        in zip(res_flat[root], payloads)
@@ -560,8 +562,8 @@ def test_bcast_stage_flat_matches_fabric_walk(size, node_map):
             entry = _entries(rng, size, len(stages))
             payload = np.arange(int(rng.integers(1, 64)), dtype=float)
             nb = payload_nbytes(payload) if nbytes is None else nbytes
-            t_flat, res_flat = _bcast_stage(flat, costs, entry, payload,
-                                            root, nb)
+            t_flat, res_flat = _down_stage(flat, (None, costs), entry,
+                                           payload, root, nb)
             stages.append(("bcast", root, entry, payload, nbytes))
             outs.append((t_flat, res_flat))
             assert res_flat[root] is payload

@@ -267,3 +267,58 @@ def test_traced_fast_collectives_nest_under_solver_phases():
                 break
     assert coll_under_levels > 0
     assert {"gather", "bcast"} <= phase_names
+
+
+# ------------------------------------------------------ binding power cap
+#: a package cap at which a second active core lowers the DVFS point of
+#: ``small_test_machine(cores_per_socket=2)``
+BINDING_CAP_W = 47.0
+
+
+def _capped_bcast_job(fast):
+    """12 ranks, every package capped at 47 W: ranks 0, 3, 6 and 9
+    compute first, root 1 broadcasts two arrays, then every rank
+    computes an unequal amount on its shared socket."""
+    machine = small_test_machine(cores_per_socket=2)
+    job = Job(machine, place_ranks(12, LoadShape.FULL, machine))
+    job.sim.fast = fast
+    for node in job.rapl_nodes:
+        for pkg in node.packages:
+            pkg.set_power_cap(BINDING_CAP_W)
+
+    def program(ctx, comm):
+        rank = comm.rank
+        if rank % 3 == 0:
+            yield from ctx.compute(flops=5e4)
+        last = None
+        for i in range(2):
+            last = yield from comm.bcast(
+                np.arange(3.0) * i if rank == 1 else None, root=1)
+        yield from ctx.compute(flops=2e4 * (1 + rank % 3))
+        return last
+
+    return job.run(program)
+
+
+@pytest.fixture(scope="module")
+def capped_runs():
+    return _capped_bcast_job(True), _capped_bcast_job(False)
+
+
+def test_binding_cap_keeps_times_traffic_and_values(capped_runs):
+    fast, message = capped_runs
+    assert fast.duration == message.duration
+    assert fast.traffic == message.traffic
+    for a, b in zip(fast.rank_results, message.rank_results):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "under a binding package cap the two paths resume ranks of one "
+    "socket at equal virtual times in a different order, and "
+    "RaplPackage.begin_core_activity prices a compute segment by the "
+    "socket's active_cores at its start (e.g. total 0.004593745880933057 J "
+    "fast vs 0.004593312560937427 J message)"))
+def test_binding_cap_per_node_energy(capped_runs):
+    fast, message = capped_runs
+    assert fast.node_energy_j == message.node_energy_j

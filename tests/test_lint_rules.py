@@ -240,6 +240,30 @@ class TestMpi:
         """)
         assert findings == []
 
+    def test_good_chain_matches_its_bcasts(self):
+        # A chain is a run of bcasts from its root, of a length the rule
+        # does not assume: two chains stand for rank 0's one bcast.
+        findings = lint("""
+            def program(comm):
+                if comm.rank == 0:
+                    return (yield from comm.bcast("x", root=0))
+                nothing = yield from comm.bcast_chain(0, root=0)
+                got = yield from comm.bcast_chain(1, root=0)
+                return nothing, got
+        """)
+        assert findings == []
+
+    def test_bad_chain_against_allreduce(self):
+        findings = lint("""
+            def program(comm, k):
+                if comm.rank == 0:
+                    total = yield from comm.allreduce(1.0)
+                else:
+                    last = yield from comm.bcast_chain(k, root=0)
+        """)
+        assert rules_of(findings) == ["MPIS002"]
+        assert "bcast_chain(root=0)" in findings[0].message
+
     def test_bad_unfenced_papi(self):
         findings = lint("""
             def monitor(comm, papi):
