@@ -3,8 +3,8 @@
 ``repro sweep`` drives a whole evaluation campaign — by default the full
 §5 grid (2 algorithms x 4 matrix sizes x Table-1 rank/shape configs)
 through the analytic evaluator, or with ``--quick`` a validation-scale
-grid through the full monitored DES pipeline — through a
-``multiprocessing`` pool (``--jobs N``).
+grid through the full monitored DES pipeline — through a process pool
+(``--jobs N``).
 
 Every task is routed through the content-addressed result cache of
 :mod:`repro.experiments.cache`: a completed configuration is skipped on
@@ -16,14 +16,15 @@ inputs produce identical bytes.
 
 The worker pool uses the ``fork`` start method (POSIX): tasks are plain
 picklable tuples, results are plain dicts, and the parent's environment
-(including ``REPRO_CACHE_DIR``) is inherited.
+(including ``REPRO_CACHE_DIR``) is inherited.  A worker that dies
+mid-task breaks the pool, and the sweep raises ``BrokenProcessPool``
+instead of waiting for the lost task.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -236,7 +237,7 @@ def _compute_task(task: SweepTask):
 def run_task(task: SweepTask) -> dict:
     """Execute one task through the cache; returns a result row.
 
-    Module-level so the multiprocessing pool can pickle it by reference.
+    Module-level so the process pool can pickle it by reference.
     """
     t0 = time.perf_counter()
     cache = default_result_cache()
@@ -273,7 +274,8 @@ def run_sweep(jobs: int = 1, quick: bool = False,
     """Run a sweep; returns ``{"rows": [...], "wall_s": ..., ...}``.
 
     ``jobs`` > 1 fans tasks out over a fork-based process pool; rows come
-    back in the deterministic task order regardless of completion order.
+    back in the deterministic task order regardless of completion order,
+    and ``progress`` sees each row as it completes.
     """
     if tasks is None:
         tasks = quick_tasks() if quick else paper_tasks()
@@ -285,14 +287,17 @@ def run_sweep(jobs: int = 1, quick: bool = False,
             if progress is not None:
                 progress(rows[-1])
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-            indexed = pool.imap_unordered(
-                _run_indexed, list(enumerate(tasks))
-            )
-            rows = [None] * len(tasks)
-            for i, row in indexed:
-                rows[i] = row
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        rows = [None] * len(tasks)
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            index = {pool.submit(run_task, task): i
+                     for i, task in enumerate(tasks)}
+            for future in as_completed(index):
+                row = rows[index[future]] = future.result()
                 if progress is not None:
                     progress(row)
     wall = time.perf_counter() - t0
@@ -304,11 +309,6 @@ def run_sweep(jobs: int = 1, quick: bool = False,
         "wall_s": wall,
         "rows": rows,
     }
-
-
-def _run_indexed(item: tuple[int, SweepTask]) -> tuple[int, dict]:
-    i, task = item
-    return i, run_task(task)
 
 
 def make_progress(total: int, quiet: bool = False):

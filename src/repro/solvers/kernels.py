@@ -40,10 +40,22 @@ from __future__ import annotations
 
 import numpy as np
 
-try:  # in-place panel flush (optional; numpy fallback below)
-    from scipy.linalg.blas import dgemm as _dgemm
-except ImportError:  # pragma: no cover - scipy is in the baked toolchain
-    _dgemm = None
+#: ``_dgemm`` before the first flush has looked scipy up
+_UNRESOLVED = object()
+#: scipy's in-place ``dgemm``, or ``None`` for the numpy fallback.
+#: Resolved on the first flush: importing ``scipy.linalg`` costs about
+#: as much as the rest of the package import, and analytic and skeleton
+#: runs never flush a panel.
+_dgemm = _UNRESOLVED
+
+
+def _resolve_dgemm():
+    global _dgemm
+    try:
+        from scipy.linalg.blas import dgemm as _dgemm
+    except ImportError:  # pragma: no cover - scipy is in the baked toolchain
+        _dgemm = None
+    return _dgemm
 
 
 class PanelAccumulator:
@@ -155,13 +167,14 @@ class PanelAccumulator:
         k = self.k
         if k and lo < self.nc:
             tail = table[lo:, :]
-            if _dgemm is not None and tail.flags.c_contiguous:
+            dgemm = _dgemm if _dgemm is not _UNRESOLVED else _resolve_dgemm()
+            if dgemm is not None and tail.flags.c_contiguous:
                 # In-place trailing update via the transposed problem:
                 # tail.T is an F-contiguous view, so BLAS can accumulate
                 # the product without the temporary the numpy expression
                 # below materializes.
-                _dgemm(alpha=self.sign, a=self.m[:k].T, b=self.c[:k, lo:],
-                       beta=1.0, c=tail.T, overwrite_c=1)
+                dgemm(alpha=self.sign, a=self.m[:k].T, b=self.c[:k, lo:],
+                      beta=1.0, c=tail.T, overwrite_c=1)
             elif self.sign < 0:
                 tail -= self.c[:k, lo:].T @ self.m[:k]
             else:

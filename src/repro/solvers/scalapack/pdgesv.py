@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from repro.solvers.dense import SingularMatrixError
 from repro.solvers.kernels import PanelAccumulator
@@ -76,6 +75,10 @@ def pdgesv_program(ctx, comm, system=None,
     Returns the full solution vector on every rank (it is replicated by
     the final block broadcasts of the substitution phase).
     """
+    # Loaded on the first solve, not at package import: analytic and
+    # skeleton runs never get here, and scipy.linalg doubles their start-up.
+    import scipy.linalg
+
     opts = options or ScalapackOptions()
     nprocs = comm.size
     grid = opts.resolve_grid(nprocs)

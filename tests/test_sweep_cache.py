@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import statistics
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -324,11 +328,47 @@ class TestSweep:
             SweepTask("analytic", alg, n, 144, "full", repetitions=2)
             for alg in ("ime", "scalapack") for n in (8640, 17280)
         ]
-        pooled = run_sweep(jobs=2, tasks=tasks)
+        seen = []
+        pooled = run_sweep(jobs=2, tasks=tasks, progress=seen.append)
         serial = run_sweep(jobs=1, tasks=tasks)
+        assert sorted(r["label"] for r in seen) == \
+            sorted(t.label for t in tasks)  # one call per completed task
         assert serial["from_cache"] == len(tasks)  # pool warmed the disk
         strip = lambda rows: [  # noqa: E731
             {k: v for k, v in r.items() if k not in ("wall_s", "cached")}
             for r in rows
         ]
         assert strip(pooled["rows"]) == strip(serial["rows"])
+
+    def test_sweep_pool_worker_death_raises(self, tmp_path):
+        """A pool worker that dies mid-task fails the sweep instead of
+        hanging it; run in a child so a regression times out there."""
+        code = textwrap.dedent("""
+            import os
+            from concurrent.futures.process import BrokenProcessPool
+
+            from repro.experiments import sweep
+
+            tasks = sweep.paper_tasks()[:4]
+            real_run_task = sweep.run_task
+
+            def run_task(task):
+                if task == tasks[1]:
+                    os._exit(3)
+                return real_run_task(task)
+
+            sweep.run_task = run_task
+            try:
+                sweep.run_sweep(jobs=2, tasks=tasks)
+            except BrokenProcessPool:
+                raise SystemExit(0)
+            raise SystemExit("the sweep survived its dead worker")
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin",
+                 "REPRO_CACHE_DIR": str(tmp_path / "cache")},
+        )
+        assert proc.returncode == 0, proc.stderr
