@@ -6,8 +6,10 @@
 install:
 	python setup.py develop
 
+# Collects what tier-1 collects: pyproject's testpaths (tests/ and
+# benchmarks/, whose verdict checks regenerate benchmarks/results/).
 test: docs-check lint validate-configs doctest
-	pytest tests/
+	PYTHONPATH=src python -m pytest
 
 # Simulation-correctness static analyzer (see docs/static-analysis.md).
 # Fails on any finding.

@@ -26,6 +26,10 @@ Public API::
     result = lint_paths(["src/repro", "tools", "examples"])
     for finding in result.findings:
         print(finding.format())
+
+``lint_paths`` keeps no state between calls: its findings depend only
+on the files' sources and on the paths they are linted under (the DET
+scope and the ``experiments/`` and ``serve/`` rules read the path).
 """
 
 from repro.lint.findings import Finding

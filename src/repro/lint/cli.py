@@ -3,11 +3,12 @@
     repro lint src/repro tools examples
     repro lint --format=json src/repro
     repro lint --format=sarif src/repro > lint.sarif
-    repro lint --jobs 4 src/repro
     repro lint --explain UNIT002
 
-Exit status 0 when clean (after suppressions), 1 when any finding
-remains, 2 on usage errors.
+Every run parses and analyzes every file it is given: nothing is cached
+between runs.  Exit status 0 when clean (after suppressions), 1 when any
+finding remains, 2 on usage errors (an unknown rule id, a path that does
+not exist).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.lint.registry import ALL_RULES, explain
 from repro.lint.runner import LintOptions, lint_paths
@@ -37,14 +39,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--select", default=None, metavar="RULES",
         help="comma-separated rule ids to run (default: all of "
              f"{','.join(ALL_RULES)})",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyze cache-miss files with N forked workers (default 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore the incremental result cache for this run",
     )
     parser.add_argument(
         "--explain", default=None, metavar="RULEID",
@@ -71,16 +65,17 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(f"unknown rule ids: {', '.join(sorted(unknown))}",
                   file=sys.stderr)
             return 2
-    options = LintOptions(select=select, jobs=max(args.jobs, 1),
-                          use_cache=not args.no_cache)
-    result = lint_paths(list(args.paths), options)
+    missing = [path for path in args.paths if not Path(path).exists()]
+    for path in missing:
+        print(f"{path}: no such file or directory", file=sys.stderr)
+    if missing:
+        return 2
+    result = lint_paths(list(args.paths), LintOptions(select=select))
     findings = result.findings
 
     if args.format == "json":
         payload = {
             "files_checked": result.files_checked,
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
             "findings": [f.to_json() for f in findings],
         }
         print(json.dumps(payload, indent=2))
@@ -91,11 +86,8 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(finding.format())
             if finding.text:
                 print(f"    {finding.text}")
-        summary = (f"{len(findings)} finding(s) in "
-                   f"{result.files_checked} file(s)")
-        if result.cache_hits:
-            summary += f" [{result.cache_hits} cached]"
-        print(summary)
+        print(f"{len(findings)} finding(s) in "
+              f"{result.files_checked} file(s)")
     return 1 if findings else 0
 
 

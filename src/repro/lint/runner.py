@@ -1,4 +1,4 @@
-"""Lint driver: parse, infer whole-tree facts, run rule passes, cache.
+"""Lint driver: parse, infer whole-tree facts, run rule passes.
 
 The run is phased because the interprocedural passes need a whole-tree
 view: first every file is parsed into a
@@ -7,19 +7,14 @@ computed — the simcall-name inference (SIM001), the call graph, and the
 interprocedural return-dimension (UNIT) and return-taint (DET1xx)
 summaries; only then do the per-module rule passes execute.
 Suppressions (``# repro: allow[RULE]``) are applied before anything is
-cached or reported, so a suppressed finding never reaches the output.
+reported, so a suppressed finding never reaches the output.
 
-Per-file rule passes are **incremental**: results are cached
-content-addressed by the file's source, the analyzer's own sources,
-the whole-tree facts, and the options (see :mod:`repro.lint.cache`).
-On a warm run only changed files are re-analyzed; ``--jobs N`` runs
-the misses through a fork pool.
+Every run does all three phases over every file, so a run's findings
+are a function of the files' sources and their paths alone.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +31,6 @@ from repro.lint import (
     rules_srv,
     rules_unit,
 )
-from repro.lint.cache import LintCache, content_hash, default_lint_cache, tree_digest
 from repro.lint.findings import Finding, sort_findings
 from repro.lint.flow import CallGraph, build_call_graph
 from repro.lint.model import ModuleInfo, infer_simcall_names, parse_module
@@ -54,22 +48,17 @@ class LintOptions:
     examples may legitimately read clocks.  Set to ``()`` to lint
     determinism everywhere (the fixture tests do).
 
-    ``jobs`` > 1 analyzes cache-miss files in a fork pool; ``use_cache``
-    False forces a cold run regardless of ``REPRO_CACHE_DIR``.
+    ``select`` keeps only the findings of the given rule ids.
     """
 
     det_scope: tuple[str, ...] = ("src/repro",)
     select: frozenset[str] | None = None  # None = all rules
-    jobs: int = 1
-    use_cache: bool = True
 
 
 @dataclass
 class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self) -> bool:
@@ -86,26 +75,6 @@ class _TreeFacts:
     unit_ctx: dict
     det_ctx: dict
     options: LintOptions
-
-    def digest(self) -> str:
-        def fkey(key: tuple[str, str]) -> str:
-            return f"{key[0]}::{key[1]}"
-
-        return tree_digest({
-            "simcalls": sorted(self.simcall_names),
-            "defined": sorted(self.code_defined),
-            "functions": {
-                fkey(key): [a.arg for a in fn.node.args.args]
-                for key, fn in self.graph.by_qualname.items()
-            },
-            "unit": {fkey(k): list(v) if v is not None else None
-                     for k, v in self.unit_ctx.items()},
-            "taint": {fkey(k): sorted(v) for k, v in self.det_ctx.items()},
-        })
-
-    def options_key(self) -> str:
-        select = sorted(self.options.select) if self.options.select else None
-        return repr((tuple(self.options.det_scope), select))
 
 
 def _det_applies(path: str, options: LintOptions) -> bool:
@@ -175,35 +144,6 @@ def build_tree_facts(modules: list[ModuleInfo],
     )
 
 
-# Fork-pool state: workers inherit these via fork (same idiom as the
-# experiment sweep driver); never used on the spawn start method.
-_POOL_MODULES: list[ModuleInfo] = []
-_POOL_FACTS: _TreeFacts | None = None
-
-
-def _pool_lint(index: int) -> tuple[int, list[Finding]]:
-    return index, _lint_module(_POOL_MODULES[index], _POOL_FACTS)
-
-
-def _lint_modules(modules: list[ModuleInfo],
-                  facts: _TreeFacts) -> list[list[Finding]]:
-    jobs = facts.options.jobs
-    if jobs > 1 and len(modules) > 1 and sys.platform != "win32":
-        global _POOL_MODULES, _POOL_FACTS
-        _POOL_MODULES, _POOL_FACTS = modules, facts
-        try:
-            ctx = multiprocessing.get_context("fork")
-            results: list[list[Finding]] = [[] for _ in modules]
-            with ctx.Pool(processes=min(jobs, len(modules))) as pool:
-                for index, findings in pool.imap_unordered(
-                        _pool_lint, range(len(modules))):
-                    results[index] = findings
-            return results
-        finally:
-            _POOL_MODULES, _POOL_FACTS = [], None
-    return [_lint_module(module, facts) for module in modules]
-
-
 def lint_paths(paths: list[str],
                options: LintOptions | None = None) -> LintResult:
     """Lint files/directories; directories are walked for ``*.py``."""
@@ -222,35 +162,8 @@ def lint_paths(paths: list[str],
                 message=f"file does not parse: {exc.msg if isinstance(exc, SyntaxError) else exc}",
             ))
     facts = build_tree_facts(modules, options)
-
-    cache: LintCache | None = None
-    tree = opts_key = ""
-    if options.use_cache:
-        cache = default_lint_cache()
-    if cache is not None:
-        tree = facts.digest()
-        opts_key = facts.options_key()
-
-    misses: list[ModuleInfo] = []
-    hashes: dict[str, str] = {}
     for module in modules:
-        if cache is None:
-            misses.append(module)
-            continue
-        hashes[module.path] = content_hash(module.source)
-        cached = cache.get(hashes[module.path], tree, opts_key)
-        if cached is None:
-            misses.append(module)
-        else:
-            result.findings.extend(cached)
-            result.cache_hits += 1
-    result.cache_misses = len(misses)
-
-    for module, findings in zip(misses, _lint_modules(misses, facts)):
-        result.findings.extend(findings)
-        if cache is not None:
-            cache.put(hashes[module.path], tree, opts_key, findings)
-
+        result.findings.extend(_lint_module(module, facts))
     result.findings = sort_findings(result.findings)
     return result
 

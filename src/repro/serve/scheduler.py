@@ -1,4 +1,4 @@
-"""Single-flight compute scheduler over a persistent fork pool.
+"""Single-flight compute scheduler over a persistent fork process pool.
 
 Every cold request the daemon serves funnels through here, and this
 module is the **only** place serve-layer code is allowed to touch the
@@ -17,6 +17,11 @@ Workers run with the disk cache disabled (``REPRO_CACHE_DIR=off`` set in
 the pool initializer): the daemon is the sole writer of its cache root,
 which keeps the journal-tracked eviction accounting (and the ``--cache-size``
 bound) single-process and exact.
+
+A worker that dies mid-task (OOM kill, signal) breaks the pool: every
+flight the pool held fails with ``BrokenProcessPool`` and its waiters are
+released at once, and the next submit replaces the pool, so a retried
+address computes afresh instead of joining a flight that cannot finish.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ def _worker_init() -> None:
     # process is the one writer of the (bounded, journal-tracked) root.
     os.environ["REPRO_CACHE_DIR"] = "off"
     # A terminal Ctrl-C reaches the whole process group; shutdown is the
-    # daemon's job (close() terminates the pool), not each worker's.
+    # daemon's job (close() terminates the workers), not each worker's.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
@@ -85,9 +90,24 @@ class SingleFlightScheduler:
         self.launched = 0
         self.coalesced = 0
         self.failed = 0
-        ctx = multiprocessing.get_context("fork")
-        self._pool = ctx.Pool(processes=max(1, jobs),
-                              initializer=_worker_init)
+        self._jobs = max(1, jobs)
+        self._closed = False
+        self._pool = self._new_pool()
+
+    def _new_pool(self):
+        # Imported here, not at module load, as run_sweep does: importing
+        # the serve layer does not pay for the executor machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=self._jobs,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init)
+        # The first submit forks every worker.  Do it now, as the daemon
+        # starts, not on the first miss: that would fork from a request
+        # thread while the server's threads run, and charge the miss.
+        pool.submit(int)
+        return pool
 
     def submit(self, address: str, task, meta=None) -> Flight:
         """Launch (or join) the flight computing ``task``."""
@@ -100,28 +120,50 @@ class SingleFlightScheduler:
             flight = Flight(address, meta)
             self._flights[address] = flight
             self.launched += 1
-        self._pool.apply_async(
-            _worker_run, (task,),
-            callback=lambda row, f=flight: self._finish(f, row, None),
-            error_callback=lambda exc, f=flight: self._finish(f, None, exc),
-        )
+            pool = self._pool
+        # Outside the lock: a future that is already done runs its
+        # callback, and so _finish, on this thread.
+        try:
+            try:
+                future = pool.submit(_worker_run, task)
+            except RuntimeError:  # BrokenProcessPool, or closed (kept)
+                future = self._replace(pool).submit(_worker_run, task)
+        except BaseException as exc:  # closed or broken again: fail it
+            self._finish(flight, None, exc)
+            return flight
+        future.add_done_callback(
+            lambda done, f=flight: self._complete(f, done))
         return flight
+
+    def _replace(self, broken):
+        """The pool after ``broken``: replaced once, by whichever submit
+        first finds it broken, and never after close()."""
+        with self._lock:
+            if self._pool is broken and not self._closed:
+                broken.shutdown(wait=False)
+                self._pool = self._new_pool()
+            return self._pool
+
+    def _complete(self, flight: Flight, future) -> None:
+        try:
+            row, error = future.result(), None
+        except BaseException as exc:  # task error, dead worker, cancel
+            row, error = None, exc
+        self._finish(flight, row, error)
 
     def _finish(self, flight: Flight, row: dict | None,
                 error: BaseException | None) -> None:
-        # Runs on the pool's result-handler thread.  Order matters:
-        # write-back, then retire the flight, then release the waiters —
-        # a waiter that re-reads the cache after wait() must hit.
+        # Runs on the pool's manager thread.  Order matters: write-back,
+        # then retire the flight, then release the waiters — a waiter
+        # that re-reads the cache after wait() must hit.
         if error is None and self._store is not None:
             try:
                 self._store(flight, row)
             except BaseException as exc:  # surface store failures to waiters
                 error = exc
         flight.row, flight.error = row, error
-        if error is not None:
-            with self._lock:
-                self.failed += 1
         with self._lock:
+            self.failed += error is not None
             self._flights.pop(flight.address, None)
         flight.done.set()
 
@@ -140,5 +182,12 @@ class SingleFlightScheduler:
             }
 
     def close(self) -> None:
-        self._pool.terminate()
-        self._pool.join()
+        """Kill the workers, running tasks included, and reap them; the
+        flights they held fail.  (``ProcessPoolExecutor`` has no public
+        terminate before Python 3.14, hence ``_processes``.)"""
+        with self._lock:
+            self._closed = True
+            pool = self._pool
+        for worker in list((pool._processes or {}).values()):
+            worker.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -1,6 +1,6 @@
-"""Engine-level behavior of the semantic lint driver: the incremental
-cache, suppression edge cases, the rule registry / --explain, and the
-SARIF output.
+"""Engine-level behavior of the semantic lint driver: findings as a
+function of files and paths, cross-file facts, suppression edge cases,
+the rule registry / --explain, usage errors, and the SARIF output.
 """
 
 import json
@@ -10,7 +10,7 @@ import textwrap
 from pathlib import Path
 
 from repro.lint.registry import ALL_RULES, RULES, RULES_BY_ID, explain
-from repro.lint.runner import LintOptions, lint_paths, lint_source
+from repro.lint.runner import lint_paths, lint_source
 from repro.lint.sarif import to_sarif
 from repro.lint.suppressions import collect_suppressions, is_suppressed
 
@@ -23,12 +23,12 @@ BAD_SNIPPET = textwrap.dedent("""
 """)
 
 
-def _run_cli(*args, cwd=REPO, cache_dir="off"):
+def _run_cli(*args, cwd=REPO, env=None):
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", "lint", *args],
         capture_output=True, text=True, cwd=cwd,
         env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
-             "REPRO_CACHE_DIR": cache_dir},
+             **(env or {})},
     )
 
 
@@ -73,103 +73,57 @@ class TestRegistry:
                 f"{spec.id}: 'good' example still flagged"
 
 
-# ------------------------------------------------------ incremental cache
-class TestIncrementalCache:
-    def test_warm_run_hits_for_every_unchanged_file(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "a.py").write_text("def f(x):\n    return x\n")
-        (tree / "b.py").write_text("def g(y):\n    return y\n")
+# ------------------------------------------------ files and their paths
+CLOCK_SNIPPET = textwrap.dedent("""\
+    import time
 
-        cold = lint_paths([str(tree)])
-        assert (cold.cache_hits, cold.cache_misses) == (0, 2)
-        warm = lint_paths([str(tree)])
-        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
 
-    def test_only_the_changed_file_is_reanalyzed(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "a.py").write_text("def f(x):\n    return x\n")
-        (tree / "b.py").write_text("def g(y):\n    return y\n")
-        lint_paths([str(tree)])
+    def step(ctx):
+        t0 = time.perf_counter()
+        elapsed_s = time.perf_counter() - t0
+        yield from ctx.elapse(elapsed_s)
+""")
 
-        # A comment-only edit leaves every whole-tree fact unchanged.
-        (tree / "b.py").write_text("# touched\ndef g(y):\n    return y\n")
-        warm = lint_paths([str(tree)])
-        assert (warm.cache_hits, warm.cache_misses) == (1, 1)
 
-    def test_cached_findings_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "bad.py").write_text(BAD_SNIPPET)
-        cold = lint_paths([str(tree)])
-        warm = lint_paths([str(tree)])
-        assert warm.cache_hits == 1
-        assert warm.findings == cold.findings
-        assert warm.findings[0].rule == "SIM001"
+class TestFindingsFollowPaths:
+    def test_same_source_under_two_paths_keeps_its_findings(self, tmp_path):
+        # DET101 applies under src/repro only, so identical bytes at
+        # tools/ must not decide the src/repro copy's findings, on any
+        # run: a second run reports what the first did.
+        for rel in ("src/repro/clock.py", "tools/clock.py"):
+            target = tmp_path / rel
+            target.parent.mkdir(parents=True)
+            target.write_text(CLOCK_SNIPPET)
+        cache_root = tmp_path / "cache"
+        env = {"REPRO_CACHE_DIR": str(cache_root)}
+        for _ in range(2):
+            proc = _run_cli("src/repro", "tools", cwd=tmp_path, env=env)
+            assert proc.returncode == 1, proc.stdout + proc.stderr
+            flagged = [line.split(":")[0] for line in proc.stdout.splitlines()
+                       if "DET101" in line]
+            assert flagged == ["src/repro/clock.py"] * 2, proc.stdout
+        assert not (cache_root / "lint").exists()
 
-    def test_changing_a_summary_invalidates_dependents(self, tmp_path,
-                                                       monkeypatch):
-        # When a helper's return dimension changes, files that call it
-        # must be re-analyzed even though their own bytes are unchanged.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_changing_a_summary_changes_dependent_findings(self, tmp_path):
+        # When a helper's return dimension changes, a file that calls it
+        # gets new findings even though its own bytes are unchanged.
         tree = tmp_path / "tree"
         tree.mkdir()
         (tree / "helper.py").write_text(
             "def sample():\n    return 1.0\n")
         (tree / "user.py").write_text(
             "from helper import sample\n\n"
-            "def total(dt):\n"
+            "def total():\n"
             "    total_j = 0.0\n"
-            "    total_j += sample() * dt\n"
+            "    total_j += sample()\n"
             "    return total_j\n")
-        first = lint_paths([str(tree)])
-        assert first.findings == []
+        assert lint_paths([str(tree)]).findings == []
 
         (tree / "helper.py").write_text(
             "def sample():\n    pkg_w = 1.0\n    return pkg_w\n")
         second = lint_paths([str(tree)])
-        assert second.cache_hits == 0, \
-            "tree digest must invalidate dependents on summary change"
-
-    def test_cache_off_disables_counters(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "a.py").write_text("def f(x):\n    return x\n")
-        result = lint_paths([str(tree)])
-        assert (result.cache_hits, result.cache_misses) == (0, 1)
-
-    def test_cache_hits_surface_in_json_output(self, tmp_path):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "a.py").write_text("def f(x):\n    return x\n")
-        cache = str(tmp_path / "cache")
-        _run_cli("--format=json", str(tree), cache_dir=cache)
-        proc = _run_cli("--format=json", str(tree), cache_dir=cache)
-        payload = json.loads(proc.stdout)
-        assert payload["cache_hits"] == 1
-        assert payload["cache_misses"] == 0
-
-
-# ------------------------------------------------------- parallel analysis
-class TestParallelAnalysis:
-    def test_jobs_produce_identical_findings(self, tmp_path):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        for i in range(4):
-            (tree / f"bad{i}.py").write_text(BAD_SNIPPET)
-        serial = lint_paths([str(tree)],
-                            LintOptions(jobs=1, use_cache=False))
-        forked = lint_paths([str(tree)],
-                            LintOptions(jobs=4, use_cache=False))
-        assert serial.findings == forked.findings
-        assert len(forked.findings) == 4
+        assert [(Path(f.path).name, f.rule) for f in second.findings] \
+            == [("user.py", "UNIT002")]
 
 
 # ------------------------------------------------- suppression edge cases
@@ -254,6 +208,13 @@ class TestExplainCli:
         assert proc.returncode == 0
         assert "collective" in proc.stdout
         assert "Violates:" in proc.stdout
+
+    def test_missing_path_is_a_usage_error(self, tmp_path):
+        for missing in (tmp_path / "no_such.py", tmp_path / "no_such_dir"):
+            proc = _run_cli(str(missing))
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == f"{missing}: no such file or directory\n"
+            assert proc.stdout == ""
 
     def test_unknown_rule_is_a_usage_error(self):
         # A retired rule's id is unknown too, to --select as to --explain.

@@ -11,6 +11,9 @@ streaming, single-flight dedup, model pinning, bounded eviction).
 import copy
 import http.client
 import json
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -374,6 +377,81 @@ class TestSingleFlight:
         assert after["coalesced"] - before["coalesced"] == self.CLIENTS - 1
         first = results[0]["result"]
         assert all(p["result"] == first for p in results)
+
+
+# ----------------------------------------------------------- worker death
+#: Runs in a fresh interpreter: the first task's worker parks until the
+#: hold file goes and is SIGKILLed meanwhile; then the same address is
+#: submitted again.  Prints what the waiters and counters saw, as JSON.
+WORKER_DEATH_SCRIPT = textwrap.dedent("""\
+    import json, os, signal, sys, time
+    from pathlib import Path
+
+    from repro.experiments import sweep
+    from repro.serve.scheduler import SingleFlightScheduler
+
+    hold, pid_file = Path(sys.argv[1]), Path(sys.argv[2])
+    compute = sweep._compute_task
+
+    def parked(task):
+        pid_file.write_text(str(os.getpid()))
+        while hold.exists():
+            time.sleep(0.02)
+        return compute(task)
+
+    sweep._compute_task = parked  # inherited by the forked workers
+    task = sweep.paper_tasks()[0]
+    scheduler = SingleFlightScheduler(jobs=1)
+    out = {}
+    try:
+        flight = scheduler.submit("addr", task)
+        while not pid_file.exists():
+            time.sleep(0.02)
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
+        t0 = time.monotonic()
+        try:
+            flight.wait(timeout=20)
+            out["first"] = "row"
+        except BaseException as exc:
+            out["first"] = type(exc).__name__
+        out["first_wait_s"] = time.monotonic() - t0
+        out["after_death"] = scheduler.stats()
+        hold.unlink()
+        again = scheduler.submit("addr", task)
+        out["retry_is_new_flight"] = again is not flight
+        try:
+            out["retry"] = sorted(again.wait(timeout=20))
+        except BaseException as exc:
+            out["retry"] = type(exc).__name__
+        out["after_retry"] = scheduler.stats()
+    finally:
+        scheduler.close()
+    print(json.dumps(out))
+""")
+
+
+class TestWorkerDeath:
+    def test_a_killed_worker_fails_its_flight_and_a_retry_recomputes(
+            self, tmp_path):
+        hold = tmp_path / "hold"
+        hold.touch()
+        proc = subprocess.run(
+            [sys.executable, "-c", WORKER_DEATH_SCRIPT, str(hold),
+             str(tmp_path / "worker.pid")],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent
+                                   / "src"),
+                 "PATH": "/usr/bin:/bin", "REPRO_CACHE_DIR": "off"})
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["first"] == "BrokenProcessPool"
+        assert out["first_wait_s"] < 10
+        assert out["after_death"] == {
+            "launched": 1, "coalesced": 0, "failed": 1, "inflight": 0}
+        assert out["retry_is_new_flight"]
+        assert "mean_duration" in out["retry"]
+        assert out["after_retry"] == {
+            "launched": 2, "coalesced": 0, "failed": 1, "inflight": 0}
 
 
 # --------------------------------------------------------------- eviction
