@@ -30,57 +30,51 @@ __paper__ = {
     "doi": "10.1145/3624062.3624266",
 }
 
-from repro.cluster.machine import MachineSpec, marconi_a3, small_test_machine
-from repro.cluster.placement import Layout, LoadShape, Placement, place_ranks
-from repro.core.framework import (
-    ExperimentResult,
-    ExperimentSpec,
-    MonitoringFramework,
-)
-from repro.core.monitoring import WhiteBoxMonitor, monitored_program
-from repro.experiments.runner import run_analytic
-from repro.runtime.context import ComputeProfile, RankContext
-from repro.runtime.job import Job, JobResult
-from repro.solvers.dense import gaussian_elimination, relative_residual
-from repro.solvers.ime.parallel import ime_parallel_program
-from repro.solvers.ime.sequential import ime_solve
-from repro.solvers.scalapack.pdgesv import ScalapackOptions, pdgesv_program
-from repro.workloads.generator import (
-    PAPER_MATRIX_SIZES,
-    LinearSystem,
-    generate_system,
-)
-from repro.workloads.matrixio import load_system, save_system
+#: every public name of the facade → the module that defines it.  A name
+#: is imported on first access (PEP 562), so ``import repro`` loads no
+#: other ``repro`` module and each name costs only its own module.
+_EXPORTS = {
+    "MachineSpec": "repro.cluster.machine",
+    "marconi_a3": "repro.cluster.machine",
+    "small_test_machine": "repro.cluster.machine",
+    "Layout": "repro.cluster.placement",
+    "LoadShape": "repro.cluster.placement",
+    "Placement": "repro.cluster.placement",
+    "place_ranks": "repro.cluster.placement",
+    "ExperimentResult": "repro.core.framework",
+    "ExperimentSpec": "repro.core.framework",
+    "MonitoringFramework": "repro.core.framework",
+    "WhiteBoxMonitor": "repro.core.monitoring",
+    "monitored_program": "repro.core.monitoring",
+    "run_analytic": "repro.experiments.runner",
+    "ComputeProfile": "repro.perfmodel.calibration",
+    "RankContext": "repro.runtime.context",
+    "Job": "repro.runtime.job",
+    "JobResult": "repro.runtime.job",
+    "gaussian_elimination": "repro.solvers.dense",
+    "relative_residual": "repro.solvers.dense",
+    "ime_parallel_program": "repro.solvers.ime.parallel",
+    "ime_solve": "repro.solvers.ime.sequential",
+    "ScalapackOptions": "repro.solvers.scalapack.pdgesv",
+    "pdgesv_program": "repro.solvers.scalapack.pdgesv",
+    "PAPER_MATRIX_SIZES": "repro.workloads.generator",
+    "LinearSystem": "repro.workloads.generator",
+    "generate_system": "repro.workloads.generator",
+    "load_system": "repro.workloads.matrixio",
+    "save_system": "repro.workloads.matrixio",
+}
 
-__all__ = [
-    "__version__",
-    "__paper__",
-    "MachineSpec",
-    "marconi_a3",
-    "small_test_machine",
-    "Layout",
-    "LoadShape",
-    "Placement",
-    "place_ranks",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "MonitoringFramework",
-    "WhiteBoxMonitor",
-    "monitored_program",
-    "run_analytic",
-    "ComputeProfile",
-    "RankContext",
-    "Job",
-    "JobResult",
-    "gaussian_elimination",
-    "relative_residual",
-    "ime_parallel_program",
-    "ime_solve",
-    "ScalapackOptions",
-    "pdgesv_program",
-    "PAPER_MATRIX_SIZES",
-    "LinearSystem",
-    "generate_system",
-    "load_system",
-    "save_system",
-]
+__all__ = ["__version__", "__paper__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        # Not a facade name: ``from repro import bench`` then falls back
+        # to importing the submodule.
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") \
+            from None
+    from importlib import import_module
+
+    return getattr(import_module(module), name)

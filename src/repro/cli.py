@@ -164,9 +164,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from repro.obs import (
-        energy_report, metrics_report, run_traced, write_chrome_trace,
-    )
+    from repro.obs.export import write_chrome_trace
+    from repro.obs.report import energy_report, metrics_report
+    from repro.obs.symbolic import run_traced
 
     result, tracer = run_traced(
         args.algorithm,
@@ -226,7 +226,8 @@ def cmd_run(args) -> int:
     import json
     import os
 
-    from repro.experiments.spec import SpecError, compile_tasks, load_spec
+    from repro.experiments.spec.loader import compile_tasks, load_spec
+    from repro.experiments.spec.schema import SpecError
     from repro.experiments.sweep import (
         describe_cache,
         format_table,
@@ -288,7 +289,8 @@ def _config_files(paths: list[str]) -> list:
 
 
 def cmd_validate_config(args) -> int:
-    from repro.experiments.spec import ERROR, check_path, compile_tasks
+    from repro.experiments.spec.loader import check_path, compile_tasks
+    from repro.experiments.spec.schema import ERROR
 
     files = _config_files(args.paths)
     if not files:

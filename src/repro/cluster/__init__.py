@@ -6,30 +6,3 @@ Slurm-like placement layer that maps MPI ranks onto nodes/sockets/cores
 according to the deployment shapes of the paper's Table 1 (full load,
 half load on one socket, half load across two sockets).
 """
-
-from repro.cluster.topology import Core, Socket, Node, Cluster
-from repro.cluster.machine import MachineSpec, marconi_a3, small_test_machine
-from repro.cluster.placement import (
-    LoadShape,
-    Layout,
-    Placement,
-    place_ranks,
-    table1_layouts,
-)
-from repro.cluster.network import ClusterFabric
-
-__all__ = [
-    "Core",
-    "Socket",
-    "Node",
-    "Cluster",
-    "MachineSpec",
-    "marconi_a3",
-    "small_test_machine",
-    "LoadShape",
-    "Layout",
-    "Placement",
-    "place_ranks",
-    "table1_layouts",
-    "ClusterFabric",
-]

@@ -8,35 +8,3 @@ reads (§4, Figure 2).  The testing framework runs monitored jobs with
 repetitions and automatically collects and stores results in a
 human-readable format (§4's requirements list).
 """
-
-from repro.core.events import MONITORED_DOMAINS, monitored_events
-from repro.core.records import (
-    NodeMeasurement,
-    RunMeasurement,
-    file_management,
-)
-from repro.core.monitoring import WhiteBoxMonitor, monitored_program
-from repro.core.phases import phase_monitored_program
-from repro.core.blackbox import BlackBoxSession
-from repro.core.framework import (
-    ExperimentSpec,
-    RunRecord,
-    ExperimentResult,
-    MonitoringFramework,
-)
-
-__all__ = [
-    "MONITORED_DOMAINS",
-    "monitored_events",
-    "NodeMeasurement",
-    "RunMeasurement",
-    "file_management",
-    "WhiteBoxMonitor",
-    "monitored_program",
-    "phase_monitored_program",
-    "BlackBoxSession",
-    "ExperimentSpec",
-    "RunRecord",
-    "ExperimentResult",
-    "MonitoringFramework",
-]

@@ -19,33 +19,3 @@ The stack mirrors the real measurement chain the paper uses (§2.3):
     A PAPI-like layer: library/thread init, event sets, the ``powercap``
     component's ``ENERGY_UJ`` events, start/stop/read with wrap correction.
 """
-
-from repro.energy.power_model import PowerParams, PackagePower, DramPower
-from repro.energy.accounting import ActivityAccountant
-from repro.energy.msr import MsrDevice, MSR_PKG_ENERGY_STATUS, MSR_DRAM_ENERGY_STATUS
-from repro.energy.rapl import RaplDomain, RaplPackage, RaplNode
-from repro.energy.papi import (
-    PapiLibrary,
-    EventSet,
-    PapiError,
-    PAPI_OK,
-    powercap_event_names,
-)
-
-__all__ = [
-    "PowerParams",
-    "PackagePower",
-    "DramPower",
-    "ActivityAccountant",
-    "MsrDevice",
-    "MSR_PKG_ENERGY_STATUS",
-    "MSR_DRAM_ENERGY_STATUS",
-    "RaplDomain",
-    "RaplPackage",
-    "RaplNode",
-    "PapiLibrary",
-    "EventSet",
-    "PapiError",
-    "PAPI_OK",
-    "powercap_event_names",
-]

@@ -7,25 +7,3 @@
 * ``figures`` — the data series behind Figures 3–7;
 * ``summary`` — the §5.4 comparison metrics (energy/power/DRAM gaps).
 """
-
-from repro.experiments.configs import (
-    PAPER_RANKS,
-    PAPER_REPETITIONS,
-    EvaluationGrid,
-)
-from repro.experiments.runner import ConfigResult, run_analytic, run_monitored
-from repro.experiments import export, figures, green, observations, summary
-
-__all__ = [
-    "PAPER_RANKS",
-    "PAPER_REPETITIONS",
-    "EvaluationGrid",
-    "ConfigResult",
-    "run_analytic",
-    "run_monitored",
-    "export",
-    "figures",
-    "green",
-    "observations",
-    "summary",
-]

@@ -11,8 +11,9 @@ result is stored under the SHA-256 of its *full* input description —
   machine-spec field the analytic evaluator reads.
 
 Because the fingerprint is part of the address, editing any calibration
-constant or machine parameter silently invalidates every cached result —
-there is no staleness to manage and no version counter to bump.  Entries
+constant or machine parameter silently invalidates every cached result.
+The evaluator *code* is not in the address: after editing it, run with
+``REPRO_CACHE_DIR=off`` or clear the cache root.  Entries
 are written atomically (temp file + ``os.replace``), so concurrent sweep
 workers can share one cache directory; both racers write identical bytes.
 

@@ -17,8 +17,10 @@ Analytic results are cached at two levels: an in-process ``lru_cache``
 (the figure builders share many configurations) backed by the
 content-addressed disk cache of :mod:`repro.experiments.cache`, which
 survives across processes and is keyed by the configuration *and* a
-fingerprint of every calibration/machine coefficient — editing the model
-invalidates the stored results automatically.
+fingerprint of every calibration/machine coefficient — editing a
+coefficient invalidates the stored results automatically.  The model
+*code* is not in the key: after editing an evaluator, run with
+``REPRO_CACHE_DIR=off`` or clear the cache directory.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 from repro.cluster.machine import MachineSpec, marconi_a3
 from repro.cluster.placement import LoadShape
-from repro.core.framework import ExperimentSpec, MonitoringFramework
 from repro.experiments.cache import default_result_cache, model_fingerprint
 from repro.experiments.configs import PAPER_REPETITIONS
 # ``analytic_run`` is unused here but stays a module attribute:
@@ -309,6 +310,10 @@ def run_monitored(
     :meth:`~repro.core.framework.MonitoringFramework.run_experiment`;
     keep references on the caller's side to inspect the traces.
     """
+    # The monitored DES loads only here: an analytic or serving process
+    # never imports ``simmpi``, ``runtime`` or ``core``.
+    from repro.core.framework import ExperimentSpec, MonitoringFramework
+
     spec = ExperimentSpec(
         algorithm=algorithm,
         system=system,

@@ -1,6 +1,7 @@
 """Declarative YAML experiment & hardware configs (ROADMAP item 4).
 
-Public surface of the spec subsystem:
+Public surface of the spec subsystem, all in
+:mod:`repro.experiments.spec.loader`:
 
 * :func:`load_spec` / :func:`load_text` — parse + validate into a
   :class:`RunSpec` (raising :class:`SpecError` with every field-level
@@ -14,44 +15,3 @@ Public surface of the spec subsystem:
 
 See docs/configuration.md for the full schema reference.
 """
-
-from repro.experiments.spec.schema import ERROR, WARNING, Issue, SpecError
-from repro.experiments.spec.loader import (
-    ALGORITHMS,
-    BUILTIN_MACHINES,
-    GridSpec,
-    MODES,
-    ObsSpec,
-    RunSpec,
-    SCHEMA_VERSION,
-    SOLVER_OPTION_TYPES,
-    SolversSpec,
-    check_path,
-    check_text,
-    compile_tasks,
-    dump_spec,
-    load_spec,
-    load_text,
-)
-
-__all__ = [
-    "ALGORITHMS",
-    "BUILTIN_MACHINES",
-    "ERROR",
-    "GridSpec",
-    "Issue",
-    "MODES",
-    "ObsSpec",
-    "RunSpec",
-    "SCHEMA_VERSION",
-    "SOLVER_OPTION_TYPES",
-    "SolversSpec",
-    "SpecError",
-    "WARNING",
-    "check_path",
-    "check_text",
-    "compile_tasks",
-    "dump_spec",
-    "load_spec",
-    "load_text",
-]

@@ -12,7 +12,7 @@ tuples the constructor-driven ``repro sweep`` path produces, so a config
 file and the legacy path are **bit-identical and share cache entries**
 (see docs/configuration.md for the canonicalization contract).
 
->>> from repro.experiments.spec import compile_tasks, dump_spec, load_text
+>>> from repro.experiments.spec.loader import compile_tasks, dump_spec, load_text
 >>> spec, warnings = load_text('''
 ... experiment:
 ...   mode: analytic          # closed-form model, paper scale

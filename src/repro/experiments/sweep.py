@@ -208,7 +208,7 @@ def _compute_task(task: SweepTask):
 
     tracer_factory, tracers = None, []
     if task.trace_dir is not None:
-        from repro.obs import SpanTracer
+        from repro.obs.tracer import SpanTracer
 
         def tracer_factory():
             tracers.append(SpanTracer())
@@ -225,7 +225,7 @@ def _compute_task(task: SweepTask):
     if tracers:
         from pathlib import Path
 
-        from repro.obs import write_chrome_trace
+        from repro.obs.export import write_chrome_trace
 
         out = Path(task.trace_dir)
         out.mkdir(parents=True, exist_ok=True)

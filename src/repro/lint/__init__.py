@@ -20,9 +20,9 @@ into checked properties.  Rule catalog and suppression syntax:
 ``docs/static-analysis.md``.  The runtime complement — the MPI
 sanitizer — lives in :mod:`repro.simmpi.sanitizer`.
 
-Public API::
+Public API (each name from the module that defines it)::
 
-    from repro.lint import lint_paths, lint_source, LintOptions
+    from repro.lint.runner import LintOptions, lint_paths, lint_source
     result = lint_paths(["src/repro", "tools", "examples"])
     for finding in result.findings:
         print(finding.format())
@@ -31,21 +31,3 @@ Public API::
 on the files' sources and on the paths they are linted under (the DET
 scope and the ``experiments/`` and ``serve/`` rules read the path).
 """
-
-from repro.lint.findings import Finding
-from repro.lint.runner import (
-    ALL_RULES,
-    LintOptions,
-    LintResult,
-    lint_paths,
-    lint_source,
-)
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "LintOptions",
-    "LintResult",
-    "lint_paths",
-    "lint_source",
-]

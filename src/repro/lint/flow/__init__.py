@@ -12,27 +12,3 @@ families (UNIT, DET1xx, MPIS) plug into:
 
 See ``docs/static-analysis.md`` for the architecture write-up.
 """
-
-from repro.lint.flow.cfg import CFG, ENTRY, EXIT, build_cfg
-from repro.lint.flow.callgraph import (
-    CallGraph,
-    CallSite,
-    build_call_graph,
-    summary_fixpoint,
-)
-from repro.lint.flow.dataflow import (
-    ForwardAnalysis,
-    SimpleAnalysis,
-    assigned_names,
-    def_use_chains,
-    fixpoint,
-    reaching_definitions,
-    used_names,
-)
-
-__all__ = [
-    "CFG", "ENTRY", "EXIT", "build_cfg",
-    "CallGraph", "CallSite", "build_call_graph", "summary_fixpoint",
-    "ForwardAnalysis", "SimpleAnalysis", "assigned_names",
-    "def_use_chains", "fixpoint", "reaching_definitions", "used_names",
-]

@@ -1,10 +1,9 @@
 """Rule registry: one :class:`RuleSpec` per rule id.
 
 This module is the single source of truth for what the analyzer can
-emit.  ``ALL_RULES`` (re-exported by :mod:`repro.lint.runner` for
-compatibility) is derived from it, ``repro lint --explain RULEID``
-prints the spec, the SARIF writer embeds it as rule metadata, and
-``tools/check_rule_docs.py`` regenerates the reference table in
+emit.  ``ALL_RULES`` is derived from it, ``repro lint --explain
+RULEID`` prints the spec, the SARIF writer embeds it as rule metadata,
+and ``tools/check_rule_docs.py`` regenerates the reference table in
 ``docs/static-analysis.md`` from it.  Adding a rule without registering
 it here fails the docs check.
 """

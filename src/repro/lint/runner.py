@@ -32,9 +32,8 @@ from repro.lint import (
     rules_unit,
 )
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.flow import CallGraph, build_call_graph
+from repro.lint.flow.callgraph import CallGraph, build_call_graph
 from repro.lint.model import ModuleInfo, infer_simcall_names, parse_module
-from repro.lint.registry import ALL_RULES  # noqa: F401  (public re-export)
 from repro.lint.suppressions import collect_suppressions, is_suppressed
 
 

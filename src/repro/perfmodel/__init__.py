@@ -8,32 +8,3 @@ cross-validated against numeric-DES runs on overlapping problem sizes (see
 ``benchmarks/test_model_crossval.py``); the shared coefficients live in
 :mod:`repro.perfmodel.calibration`.
 """
-
-from repro.perfmodel.calibration import (
-    Calibration,
-    DEFAULT_CALIBRATION,
-    IME_PROFILE,
-    SCALAPACK_PROFILE,
-    profile_for,
-)
-from repro.perfmodel.timeline import NodeTimeline, Segment
-from repro.perfmodel.analytic import (
-    AnalyticResult,
-    analytic_run,
-    ime_analytic,
-    scalapack_analytic,
-)
-
-__all__ = [
-    "Calibration",
-    "DEFAULT_CALIBRATION",
-    "IME_PROFILE",
-    "SCALAPACK_PROFILE",
-    "profile_for",
-    "NodeTimeline",
-    "Segment",
-    "AnalyticResult",
-    "analytic_run",
-    "ime_analytic",
-    "scalapack_analytic",
-]

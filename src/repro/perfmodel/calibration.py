@@ -29,7 +29,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runtime.context import ComputeProfile
+
+@dataclass(frozen=True)
+class ComputeProfile:
+    """How a rank's computation maps onto time, power, and DRAM traffic."""
+
+    #: sustained useful flop/s of one core running this code
+    eff_flops_per_core: float = 12.0e9
+    #: DRAM bytes moved per useful flop (cache-miss traffic, not loads)
+    dram_bytes_per_flop: float = 0.10
+    #: core floating-point utilization while computing (power model input)
+    flop_util: float = 0.65
+    #: core memory-subsystem utilization while computing
+    mem_util: float = 0.30
+
+    def duration(self, flops: float, freq_ratio: float = 1.0) -> float:
+        if flops < 0:
+            raise ValueError(f"negative flops: {flops}")
+        return flops / (self.eff_flops_per_core * freq_ratio)
+
 
 #: IMe: unblocked, memory-intensive level sweeps.
 IME_PROFILE = ComputeProfile(

@@ -6,8 +6,3 @@ program per MPI rank.  Each rank program receives a
 :class:`~repro.runtime.context.RankContext` through which it charges compute
 time/energy to its bound core and accesses its node's PAPI instance.
 """
-
-from repro.runtime.context import ComputeProfile, RankContext
-from repro.runtime.job import Job, JobResult
-
-__all__ = ["ComputeProfile", "RankContext", "Job", "JobResult"]

@@ -4,10 +4,11 @@ The context is how solver code interacts with the simulated hardware:
 
 * ``yield from ctx.compute(flops, dram_bytes)`` charges virtual time and
   energy for a compute segment on the rank's bound core.  The duration
-  follows the rank's :class:`ComputeProfile` (effective flop rate); the
-  package accountant integrates the core's power over the segment and the
-  DRAM accountant is charged for the traffic.  Power caps stretch the
-  segment via the DVFS ratio returned by the RAPL package.
+  follows the rank's :class:`~repro.perfmodel.calibration.ComputeProfile`
+  (effective flop rate); the package accountant integrates the core's
+  power over the segment and the DRAM accountant is charged for the
+  traffic.  Power caps stretch the segment via the DVFS ratio returned
+  by the RAPL package.
 * ``ctx.papi()`` returns the node-local PAPI library instance (monitoring
   ranks use it; §4's design has exactly one PAPI user per node).
 
@@ -20,31 +21,12 @@ measures (§5.4).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from repro.cluster.topology import Core
 from repro.energy.papi import PapiLibrary
 from repro.energy.rapl import RaplNode
+from repro.perfmodel.calibration import ComputeProfile
 from repro.simmpi.engine import NOW, acquire_delay
-
-
-@dataclass(frozen=True)
-class ComputeProfile:
-    """How a rank's computation maps onto time, power, and DRAM traffic."""
-
-    #: sustained useful flop/s of one core running this code
-    eff_flops_per_core: float = 12.0e9
-    #: DRAM bytes moved per useful flop (cache-miss traffic, not loads)
-    dram_bytes_per_flop: float = 0.10
-    #: core floating-point utilization while computing (power model input)
-    flop_util: float = 0.65
-    #: core memory-subsystem utilization while computing
-    mem_util: float = 0.30
-
-    def duration(self, flops: float, freq_ratio: float = 1.0) -> float:
-        if flops < 0:
-            raise ValueError(f"negative flops: {flops}")
-        return flops / (self.eff_flops_per_core * freq_ratio)
 
 
 class RankContext:

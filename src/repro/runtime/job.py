@@ -21,7 +21,8 @@ from repro.cluster.network import ClusterFabric
 from repro.cluster.placement import Placement
 from repro.energy.papi import PapiLibrary
 from repro.energy.rapl import RaplDomain, RaplNode
-from repro.runtime.context import ComputeProfile, RankContext
+from repro.perfmodel.calibration import ComputeProfile
+from repro.runtime.context import RankContext
 from repro.simmpi.comm import World
 from repro.simmpi.engine import Simulator
 

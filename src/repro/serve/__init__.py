@@ -25,13 +25,3 @@ same YAML ``repro run`` takes, ``/batch`` configs are the canonical
 cache-key dicts, and every served result is bit-identical to (and
 shares disk entries with) its CLI counterpart.  See ``docs/serving.md``.
 """
-
-from repro.serve.app import CampaignServer, create_server
-from repro.serve.scheduler import Flight, SingleFlightScheduler
-
-__all__ = [
-    "CampaignServer",
-    "Flight",
-    "SingleFlightScheduler",
-    "create_server",
-]

@@ -42,7 +42,8 @@ from repro.experiments.cache import (
     result_to_dict,
 )
 from repro.experiments.cache_tiers import TieredResultCache
-from repro.experiments.spec import SpecError, compile_tasks, load_text
+from repro.experiments.spec.loader import compile_tasks, load_text
+from repro.experiments.spec.schema import SpecError
 from repro.experiments.sweep import _task_config, _task_machine, task_from_config
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION
 from repro.serve.scheduler import SingleFlightScheduler

@@ -17,55 +17,3 @@ The public surface mirrors the mpi4py conventions the paper's code relies on:
 Because every rank program is a generator, *all* blocking operations are
 generator functions and must be invoked as ``data = yield from comm.recv(...)``.
 """
-
-from repro.simmpi.engine import Simulator, Process, Delay, Now, SimEvent
-from repro.simmpi.comm import (
-    Communicator,
-    World,
-    Request,
-    ANY_SOURCE,
-    ANY_TAG,
-    COMM_TYPE_SHARED,
-    MAX,
-    MIN,
-    SUM,
-    PROD,
-)
-from repro.simmpi.cart import CartComm, create_cart, dims_create
-from repro.simmpi.fabric import Fabric, UniformFabric, ZeroFabric
-from repro.simmpi.errors import (
-    SimMPIError,
-    RankAbort,
-    CommMismatchError,
-    TruncationError,
-    DeadlockError,
-)
-
-__all__ = [
-    "Simulator",
-    "Process",
-    "Delay",
-    "Now",
-    "SimEvent",
-    "Communicator",
-    "World",
-    "Request",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "COMM_TYPE_SHARED",
-    "MAX",
-    "MIN",
-    "SUM",
-    "PROD",
-    "CartComm",
-    "create_cart",
-    "dims_create",
-    "Fabric",
-    "UniformFabric",
-    "ZeroFabric",
-    "SimMPIError",
-    "RankAbort",
-    "CommMismatchError",
-    "TruncationError",
-    "DeadlockError",
-]

@@ -9,17 +9,3 @@
 * :mod:`repro.solvers.dense` — sequential reference solvers and residual
   checks used to validate both.
 """
-
-from repro.solvers.dense import (
-    gaussian_elimination,
-    gauss_jordan,
-    residual_norm,
-    relative_residual,
-)
-
-__all__ = [
-    "gaussian_elimination",
-    "gauss_jordan",
-    "residual_norm",
-    "relative_residual",
-]

@@ -18,34 +18,3 @@ parallel communication pattern, and the asymptotic complexity.
 * ``costmodel`` — the paper's published complexity formulas (flops,
   messages, volume, memory occupation) driving the analytic mode.
 """
-
-from repro.solvers.ime.sequential import ime_solve, InhibitionTable
-from repro.solvers.ime.parallel import ime_parallel_program, ImeOptions
-from repro.solvers.ime.costmodel import ImeCostModel
-from repro.solvers.ime.fault import (
-    FaultTolerantTable,
-    FaultRecoveryError,
-    FtOverheadModel,
-)
-from repro.solvers.ime.ft_parallel import FtOptions, ime_ft_parallel_program
-from repro.solvers.ime.schemes import (
-    BlockwiseOptions,
-    ime_blockwise_program,
-    ime_rowwise_program,
-)
-
-__all__ = [
-    "ime_solve",
-    "InhibitionTable",
-    "ime_parallel_program",
-    "ImeOptions",
-    "ImeCostModel",
-    "FaultTolerantTable",
-    "FaultRecoveryError",
-    "FtOverheadModel",
-    "FtOptions",
-    "ime_ft_parallel_program",
-    "BlockwiseOptions",
-    "ime_blockwise_program",
-    "ime_rowwise_program",
-]

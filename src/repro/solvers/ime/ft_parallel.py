@@ -70,7 +70,6 @@ class FtOptions:
     fail_rank: int | None = None
     #: ... immediately before this level
     fail_level: int = 0
-    charge_compute: bool = True
     #: defer the rank-1 table updates across this many levels and apply
     #: them as one BLAS-3 panel update (wall-clock only — the per-level
     #: message pattern, payload sizes, charged flops, and the recovery
@@ -197,10 +196,9 @@ def ime_ft_parallel_program(ctx, comm, system=None,
 
     # Published per-level compute cost (checksum rank pays 2c(n−l) extra
     # for its c weighted columns).
-    if opts.charge_compute:
-        level_flops = ImeCostModel.ft_level_flops_per_rank(
-            n, n_data, opts.n_checksums if is_checksum_rank else 0
-        )
+    level_flops = ImeCostModel.ft_level_flops_per_rank(
+        n, n_data, opts.n_checksums if is_checksum_rank else 0
+    )
 
     m_empty = np.empty(0)
     fail_at = opts.fail_level if opts.fail_rank is not None else None
@@ -342,8 +340,7 @@ def ime_ft_parallel_program(ctx, comm, system=None,
             if acc_w is not None:
                 acc_w.flush(local_cols, level + 1)
 
-        if opts.charge_compute:
-            yield from ctx.compute(flops=float(level_flops[level]))
+        yield from ctx.compute(flops=float(level_flops[level]))
 
     if rank == master:
         return h_master / d, recovery_report

@@ -44,8 +44,6 @@ from repro.solvers.kernels import PanelAccumulator
 class ImeOptions:
     """Tunables of the parallel run."""
 
-    #: charge compute time/energy through the rank context
-    charge_compute: bool = True
     #: also return the rank-local h shard (testing/validation hook)
     return_shards: bool = False
     #: broadcast the final solution to all ranks instead of master-only
@@ -126,7 +124,7 @@ def ime_parallel_program(ctx, comm, system=None, options: ImeOptions | None = No
         # Map global column -> local index for the columns this rank owns.
         local_of = {int(g): i for i, g in enumerate(mine)}
 
-        if rank == master and opts.charge_compute:
+        if rank == master:
             # INITIME scaling of the table: n² divisions.
             yield from ctx.compute(flops=float(n) * n, dram_bytes=8.0 * n * n)
 
@@ -209,8 +207,7 @@ def ime_parallel_program(ctx, comm, system=None, options: ImeOptions | None = No
             if acc.k == kb or level == n - 1:
                 acc.flush(r_local, level + 1)
 
-            if opts.charge_compute:
-                yield from ctx.compute(flops=float(level_flops[level]))
+            yield from ctx.compute(flops=float(level_flops[level]))
 
     # ------------------------------------------------------------- epilogue
     with ctx.span("ime:solution"):

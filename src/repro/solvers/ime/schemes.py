@@ -32,7 +32,7 @@ def _cyclic(n: int, size: int, rank: int) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ row-wise
-def ime_rowwise_program(ctx, comm, system=None, charge_compute: bool = True):
+def ime_rowwise_program(ctx, comm, system=None):
     """Row-wise IMeP: rows cyclically distributed, h replicated.
 
     Per level the owner of row ``l`` broadcasts the active pivot-row
@@ -90,9 +90,8 @@ def ime_rowwise_program(ctx, comm, system=None, charge_compute: bool = True):
         h -= m * hl
         h[level] = hl
 
-        if charge_compute:
-            # Same published per-level cost, split across the ranks.
-            yield from ctx.compute(flops=3.0 * n * (n - level) / size)
+        # Same published per-level cost, split across the ranks.
+        yield from ctx.compute(flops=3.0 * n * (n - level) / size)
 
     if rank == master:
         return h / d
@@ -103,7 +102,6 @@ def ime_rowwise_program(ctx, comm, system=None, charge_compute: bool = True):
 @dataclass(frozen=True)
 class BlockwiseOptions:
     grid: ProcessGrid | None = None
-    charge_compute: bool = True
 
 
 def ime_blockwise_program(ctx, comm, system=None,
@@ -201,8 +199,7 @@ def ime_blockwise_program(ctx, comm, system=None,
         if mycol == pc_l:
             h_local[lcol_of[level]] = hl
 
-        if opts.charge_compute:
-            yield from ctx.compute(flops=3.0 * n * (n - level) / nprocs)
+        yield from ctx.compute(flops=3.0 * n * (n - level) / nprocs)
 
     # Assemble x on the master from one process row's h shards.
     if myrow == 0:

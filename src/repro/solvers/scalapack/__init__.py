@@ -10,27 +10,3 @@ Reimplements the pieces of ScaLAPACK the paper benchmarks (§2.2):
 * ``costmodel`` — the canonical communication/computation cost model of
   block-cyclic LU for the analytic mode.
 """
-
-from repro.solvers.scalapack.grid import ProcessGrid
-from repro.solvers.scalapack.blockcyclic import (
-    numroc,
-    owner_of,
-    local_index,
-    global_indices,
-)
-from repro.solvers.scalapack.pdgesv import (
-    ScalapackOptions,
-    pdgesv_program,
-)
-from repro.solvers.scalapack.costmodel import ScalapackCostModel
-
-__all__ = [
-    "ProcessGrid",
-    "numroc",
-    "owner_of",
-    "local_index",
-    "global_indices",
-    "ScalapackOptions",
-    "pdgesv_program",
-    "ScalapackCostModel",
-]

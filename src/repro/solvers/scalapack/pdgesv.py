@@ -44,7 +44,6 @@ class ScalapackOptions:
 
     nb: int = 8
     grid: ProcessGrid | None = None
-    charge_compute: bool = True
     pivoting: bool = True
     #: factor each panel left-looking through the shared blocked kernel
     #: (:mod:`repro.solvers.kernels`): the per-column rank-1 interior
@@ -277,7 +276,7 @@ def pdgesv_program(ctx, comm, system=None,
                 a_local[r_b:, c_r:] -= prod
                 panel_flops += 2.0 * (nlrow - r_b) * kb * (nlcol - c_r)
 
-            if opts.charge_compute and panel_flops:
+            if panel_flops:
                 yield from ctx.compute(flops=panel_flops)
 
     # ------------------------------------------------------------- solve
@@ -341,7 +340,6 @@ def pdgesv_program(ctx, comm, system=None,
             x_k = yield from comm.bcast(x_k, root=grid.rank_of(prk, pck))
             x[k0:k0 + kb] = x_k
 
-        if opts.charge_compute:
-            # Substitution phase: 2n² flops spread over the grid.
-            yield from ctx.compute(flops=2.0 * n * n / nprocs)
+        # Substitution phase: 2n² flops spread over the grid.
+        yield from ctx.compute(flops=2.0 * n * n / nprocs)
     return x

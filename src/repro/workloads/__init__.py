@@ -6,14 +6,3 @@ file to ensure consistent input data for repetitive measurements" (§5.1).
 applicability condition of the pivot-free IMe); ``matrixio`` persists them
 so repeated jobs consume byte-identical inputs.
 """
-
-from repro.workloads.generator import LinearSystem, generate_system, PAPER_MATRIX_SIZES
-from repro.workloads.matrixio import save_system, load_system
-
-__all__ = [
-    "LinearSystem",
-    "generate_system",
-    "PAPER_MATRIX_SIZES",
-    "save_system",
-    "load_system",
-]

@@ -1,11 +1,16 @@
-"""Cold start: importing an entry point must not load ``scipy.linalg``.
+"""Cold start: an entry point loads only the code it runs.
 
 ``scipy.linalg`` costs about as much to import as the rest of the
 package, and only the numeric kernels use it (the panel flush's
-``dgemm`` and ``pdgesv``'s triangular solves).  Each check runs in a
-fresh interpreter, since this test process has long loaded it.
+``dgemm`` and ``pdgesv``'s triangular solves).  The analytic and
+serving entry points run no DES, so they must not load ``simmpi``,
+``runtime`` or ``core``; that holds only while every package
+``__init__`` except the ``repro`` facade imports nothing.  Each import
+check runs in a fresh interpreter, since this test process has long
+loaded everything.
 """
 
+import ast
 import subprocess
 import sys
 import textwrap
@@ -37,6 +42,51 @@ def test_entry_point_import_leaves_scipy_linalg_unloaded(module):
         import {module}
         assert "scipy.linalg" not in sys.modules, "{module} loads scipy.linalg"
     """)
+
+
+DES_PACKAGES = ("simmpi", "runtime", "core")
+
+
+@pytest.mark.parametrize("modules", [
+    "repro.experiments.sweep, repro.experiments.runner",
+    "repro.serve.app",
+])
+def test_analytic_and_serving_imports_leave_the_des_unloaded(modules):
+    _run_fresh(f"""
+        import sys
+        import {modules}
+        des = sorted(m for m in sys.modules if m.startswith("repro.")
+                     and m.split(".")[1] in {DES_PACKAGES!r})
+        assert not des, des
+    """)
+
+
+def test_facade_loads_each_name_on_first_access():
+    _run_fresh("""
+        import sys
+        import repro
+        loaded = sorted(m for m in sys.modules if m.startswith("repro."))
+        assert not loaded, loaded
+        from repro import Job, ime_solve, run_analytic
+        assert Job.__module__ == "repro.runtime.job"
+        assert ime_solve.__module__ == "repro.solvers.ime.sequential"
+        assert run_analytic.__module__ == "repro.experiments.runner"
+    """)
+
+
+def test_package_inits_import_nothing():
+    """Every sub-package ``__init__`` is its docstring only: a name is
+    imported from the module that defines it, and ``repro`` is the one
+    facade."""
+    inits = sorted((REPO / "src" / "repro").glob("*/**/__init__.py"))
+    assert len(inits) >= 16
+    offenders = [
+        f"{path.relative_to(REPO)}:{node.lineno}"
+        for path in inits
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not offenders, offenders
 
 
 @pytest.mark.parametrize("algorithm, flushes", [("ime", True),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.machine import small_test_machine
 from repro.cluster.placement import LoadShape, place_ranks
-from repro.runtime.context import ComputeProfile
+from repro.perfmodel.calibration import ComputeProfile
 from repro.runtime.job import Job
 from repro.simmpi.comm import ANY_TAG, SUM, World
 from repro.simmpi.datatypes import copy_payload, payload_nbytes

@@ -248,7 +248,7 @@ def test_any_source_interleaved_tags_deterministic():
 # ------------------------------------------------------------ traced runs
 def test_traced_fast_collectives_nest_under_solver_phases():
     """Fast-path collective spans appear under ime:levels, as documented."""
-    from repro.obs import run_traced
+    from repro.obs.symbolic import run_traced
 
     _, tracer = run_traced("ime", n=96, ranks=4, chunks=4,
                            fabric_jitter=0.0, node_efficiency_spread=0.0)

@@ -42,8 +42,6 @@ class TestRegistry:
 
     def test_all_rules_is_derived_from_the_registry(self):
         assert ALL_RULES == tuple(spec.id for spec in RULES)
-        from repro.lint import runner
-        assert runner.ALL_RULES is ALL_RULES
 
     def test_explain_prints_both_examples(self):
         text = explain("UNIT002")

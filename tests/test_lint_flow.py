@@ -4,17 +4,14 @@ the forward-dataflow fixpoint, and def-use chains.
 
 import ast
 
-from repro.lint.flow import (
-    ENTRY,
-    EXIT,
+from repro.lint.flow.callgraph import build_call_graph, summary_fixpoint
+from repro.lint.flow.cfg import ENTRY, EXIT, build_cfg
+from repro.lint.flow.dataflow import (
     SimpleAnalysis,
     assigned_names,
-    build_call_graph,
-    build_cfg,
     def_use_chains,
     fixpoint,
     reaching_definitions,
-    summary_fixpoint,
 )
 from repro.lint.model import parse_module
 

@@ -16,16 +16,11 @@ from repro.cluster.placement import LoadShape, Placement, layout_for
 from repro.core.framework import ExperimentSpec, MonitoringFramework
 from repro.core.monitoring import monitored_program
 from repro.energy.tracing import PowerTracer
-from repro.obs import (
-    MetricsRegistry,
-    SpanTracer,
-    dumps_chrome_trace,
-    energy_report,
-    metrics_report,
-    phase_energy,
-    run_traced,
-    write_chrome_trace,
-)
+from repro.obs.export import dumps_chrome_trace, write_chrome_trace
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import energy_report, metrics_report, phase_energy
+from repro.obs.symbolic import run_traced
+from repro.obs.tracer import SpanTracer
 from repro.perfmodel.calibration import profile_for
 from repro.runtime.job import Job
 from repro.solvers.ime.parallel import ime_parallel_program

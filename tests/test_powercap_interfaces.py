@@ -151,7 +151,7 @@ def test_powercapfs_cap_affects_simulated_execution():
     from repro.cluster.machine import small_test_machine
     from repro.cluster.placement import LoadShape, place_ranks
     from repro.runtime.job import Job
-    from repro.runtime.context import ComputeProfile
+    from repro.perfmodel.calibration import ComputeProfile
 
     machine = small_test_machine(cores_per_socket=24)
     placement = place_ranks(48, LoadShape.FULL, machine)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.machine import marconi_a3, small_test_machine
 from repro.cluster.placement import LoadShape, place_ranks
-from repro.runtime.context import ComputeProfile
+from repro.perfmodel.calibration import ComputeProfile
 from repro.runtime.job import Job
 
 

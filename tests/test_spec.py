@@ -16,17 +16,15 @@ from repro.experiments import cache as cache_mod
 from repro.experiments.cache import model_fingerprint
 from repro.experiments.configs import EvaluationGrid
 from repro.experiments.runner import _run_analytic_cached, run_analytic
-from repro.experiments.spec import (
-    ERROR,
-    WARNING,
-    SpecError,
+from repro.experiments.spec import yamlread
+from repro.experiments.spec.loader import (
     check_text,
     compile_tasks,
     dump_spec,
     load_spec,
     load_text,
-    yamlread,
 )
+from repro.experiments.spec.schema import ERROR, WARNING, SpecError
 from repro.experiments.sweep import (
     SweepTask,
     _task_config,
@@ -355,7 +353,7 @@ class TestPaperConfig:
         assert task.machine is None  # identical to the omitted form
 
     def test_shipped_configs_all_validate(self):
-        from repro.experiments.spec import check_path
+        from repro.experiments.spec.loader import check_path
 
         paths = sorted(CONFIGS.glob("*.yaml"))
         assert paths, "configs/ must ship specs"
