@@ -9,7 +9,7 @@ powercap event set displayed by PAPI."
 from __future__ import annotations
 
 from repro.energy.papi import powercap_event_names
-from repro.energy.rapl import RaplDomain
+from repro.energy.domains import RaplDomain
 
 #: Human-readable domain names, in the paper's order.
 MONITORED_DOMAINS = RaplDomain.ALL  # package-0, package-1, dram-0, dram-1

@@ -13,8 +13,11 @@ The stack mirrors the real measurement chain the paper uses (§2.3):
     The Model-Specific-Register device: 32-bit wrap-around energy-status
     counters in RAPL energy units, updated on a ~1 ms quantum with jitter —
     reproducing the artefacts of the real interface.
+``domains``
+    RAPL domain naming (PKG/DRAM per package); imports nothing else, so
+    the analytic evaluator names its joules without the DES stack.
 ``rapl``
-    RAPL domain naming (PKG/DRAM per package) and power-cap enforcement.
+    Per-socket RAPL packages and power-cap enforcement.
 ``papi``
     A PAPI-like layer: library/thread init, event sets, the ``powercap``
     component's ``ENERGY_UJ`` events, start/stop/read with wrap correction.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.energy.rapl import RaplDomain
+from repro.energy.domains import RaplDomain
 from repro.runtime.job import Job
 
 

@@ -1,4 +1,4 @@
-"""RAPL domain abstraction and power capping.
+"""RAPL packages and power capping.
 
 Bridges the structural cluster model and the measurement stack: a
 :class:`RaplNode` owns, for each socket, a :class:`RaplPackage` holding the
@@ -19,34 +19,9 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.energy.accounting import ActivityAccountant
+from repro.energy.domains import RaplDomain
 from repro.energy.msr import MsrDevice
 from repro.energy.power_model import DramPower, PackagePower, PowerParams
-
-
-class RaplDomain:
-    """Names of the monitored domains, in the paper's order (§4)."""
-
-    PACKAGE_0 = "package-0"
-    PACKAGE_1 = "package-1"
-    DRAM_0 = "dram-0"
-    DRAM_1 = "dram-1"
-
-    ALL = (PACKAGE_0, PACKAGE_1, DRAM_0, DRAM_1)
-
-    @staticmethod
-    def package(index: int) -> str:
-        return f"package-{index}"
-
-    @staticmethod
-    def dram(index: int) -> str:
-        return f"dram-{index}"
-
-    @staticmethod
-    def parse(name: str) -> tuple[str, int]:
-        kind, _, idx = name.partition("-")
-        if kind not in ("package", "dram") or not idx.isdigit():
-            raise ValueError(f"not a RAPL domain name: {name!r}")
-        return kind, int(idx)
 
 
 class RaplPackage:

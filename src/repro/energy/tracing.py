@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.energy.rapl import RaplDomain
+from repro.energy.domains import RaplDomain
 from repro.runtime.job import Job, JobResult
 
 

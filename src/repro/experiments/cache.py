@@ -17,6 +17,10 @@ The evaluator *code* is not in the address: after editing it, run with
 are written atomically (temp file + ``os.replace``), so concurrent sweep
 workers can share one cache directory; both racers write identical bytes.
 
+A read is schema-checked once, in :meth:`ResultCache.get_dict`; callers
+that want a row rather than a ``ConfigResult`` (``repro sweep``, the
+daemon's tiers) serve that dict as it is.
+
 Layout: ``<root>/<hash[:2]>/<hash>.json`` with the config echoed inside
 each entry for debuggability.  The root defaults to ``.repro-cache/`` in
 the working directory and can be moved with ``REPRO_CACHE_DIR`` (set it
@@ -80,9 +84,13 @@ def model_fingerprint(calib: Calibration, machine: MachineSpec) -> str:
 
 
 def result_to_dict(result) -> dict:
-    """JSON form of a :class:`~repro.experiments.runner.ConfigResult`."""
-    d = dataclasses.asdict(result)
+    """JSON form of a :class:`~repro.experiments.runner.ConfigResult`,
+    fields in declaration order.  ``dataclasses.asdict`` would deep-copy
+    every float; the one nested dict is copied here instead."""
+    d = {field.name: getattr(result, field.name)
+         for field in dataclasses.fields(result)}
     d["shape"] = result.shape.value
+    d["domain_means_j"] = dict(result.domain_means_j)
     return d
 
 

@@ -9,9 +9,10 @@ Every analytic miss — ``run_analytic``, ``run_analytic_batch``, and so
 ``repro sweep``, the figure builders and the serving daemon — is
 evaluated by one engine,
 :func:`~repro.perfmodel.analytic.analytic_repetitions`, which shares a
-configuration's seed-independent base across its repetitions.  The
-per-repetition loop over ``analytic_run`` it replaces is kept in the
-tests as the bitwise oracle.
+configuration's seed-independent base across its repetitions and
+returns each repetition already summed over nodes, so
+``_aggregate_analytic`` only averages.  The per-repetition loop over
+``analytic_run`` it replaces is kept in the tests as the bitwise oracle.
 
 Analytic results are cached at two levels: an in-process ``lru_cache``
 (the figure builders share many configurations) backed by the
@@ -109,35 +110,11 @@ def _aggregate_analytic(
     algorithm: str, n: int, ranks: int, shape: LoadShape,
     repetitions: int, runs: list,
 ) -> ConfigResult:
-    """Fold per-repetition AnalyticResults into one ConfigResult.
-
-    One pass per run buckets its ``node_energy_j`` values, in dict order,
-    by domain and into the package, DRAM and total lists; each list is
-    then reduced with the builtin ``sum``, the same call on the same
-    sequence as the ``AnalyticResult`` properties make, so the floats are
-    theirs bit for bit."""
+    """Fold per-repetition sums
+    (:class:`~repro.perfmodel.analytic.RepetitionEnergy`) into one
+    ConfigResult: ``fmean`` of each sum, ``stdev`` of the durations."""
     durations = [r.duration for r in runs]
-    domain_sums: list[dict] = []
-    totals, packages, drams = [], [], []
-    for r in runs:
-        by_domain: dict[str, list] = {}
-        total, package, dram = [], [], []
-        for (_node, d), v in r.node_energy_j.items():
-            by_domain.setdefault(d, []).append(v)
-            total.append(v)
-            if d.startswith("package"):
-                package.append(v)
-            elif d.startswith("dram"):
-                dram.append(v)
-        domain_sums.append({d: sum(vs) for d, vs in by_domain.items()})
-        totals.append(sum(total))
-        packages.append(sum(package))
-        drams.append(sum(dram))
-    domains = sorted({d for sums in domain_sums for d in sums})
-    domain_means = {
-        d: statistics.fmean(sums.get(d, 0) for sums in domain_sums)
-        for d in domains
-    }
+    domains = sorted({d for r in runs for d in r.domain_j})
     return ConfigResult(
         algorithm=algorithm,
         n=n,
@@ -146,10 +123,13 @@ def _aggregate_analytic(
         repetitions=repetitions,
         mean_duration=statistics.fmean(durations),
         stdev_duration=statistics.stdev(durations) if len(runs) > 1 else 0.0,
-        mean_total_j=statistics.fmean(totals),
-        mean_package_j=statistics.fmean(packages),
-        mean_dram_j=statistics.fmean(drams),
-        domain_means_j=domain_means,
+        mean_total_j=statistics.fmean([r.total_j for r in runs]),
+        mean_package_j=statistics.fmean([r.package_j for r in runs]),
+        mean_dram_j=statistics.fmean([r.dram_j for r in runs]),
+        domain_means_j={
+            d: statistics.fmean([r.domain_j.get(d, 0) for r in runs])
+            for d in domains
+        },
     )
 
 

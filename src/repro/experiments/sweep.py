@@ -24,9 +24,10 @@ instead of waiting for the lost task.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.cluster.placement import LoadShape
 from repro.experiments.cache import (
@@ -97,13 +98,22 @@ def quick_tasks() -> list[SweepTask]:
     ]
 
 
+@functools.cache
+def _paper_machine():
+    """Marconi A3, built once per process: ``MachineSpec`` is frozen, so
+    every paper-scale task can share one instance."""
+    from repro.cluster.machine import marconi_a3
+
+    return marconi_a3()
+
+
 def _task_machine(task: SweepTask):
-    from repro.cluster.machine import marconi_a3, small_test_machine
+    from repro.cluster.machine import small_test_machine
 
     if task.machine is not None:
         return task.machine
     if task.mode in ("analytic", "skeleton"):
-        return marconi_a3()
+        return _paper_machine()
     return small_test_machine(cores_per_socket=max(1, task.ranks // 2))
 
 
@@ -234,27 +244,38 @@ def _compute_task(task: SweepTask):
     return result
 
 
+@functools.cache
+def _result_fields() -> tuple[str, ...]:
+    """``ConfigResult``'s field names in declaration order: the key order
+    of a result row, cold or warm."""
+    from repro.experiments.runner import ConfigResult
+
+    return tuple(field.name for field in fields(ConfigResult))
+
+
 def run_task(task: SweepTask) -> dict:
     """Execute one task through the cache; returns a result row.
 
-    Module-level so the process pool can pickle it by reference.
+    A hit is served as the stored result dict (``get_dict`` has already
+    checked it against the schema); a miss is converted to a dict once,
+    and that dict is both stored and served.  Module-level so the
+    process pool can pickle it by reference.
     """
     t0 = time.perf_counter()
     cache = default_result_cache()
-    cached = False
-    result = None
+    stored = None
     if cache is not None:
         from repro.perfmodel.calibration import DEFAULT_CALIBRATION
 
         config = _task_config(task)
         fingerprint = model_fingerprint(DEFAULT_CALIBRATION,
                                         _task_machine(task))
-        result = cache.get(config, fingerprint)
-        cached = result is not None
-    if result is None:
-        result = _compute_task(task)
+        stored = cache.get_dict(config, fingerprint)
+    cached = stored is not None
+    if stored is None:
+        stored = result_to_dict(_compute_task(task))
         if cache is not None:
-            cache.put(config, fingerprint, result)
+            cache.put_dict(config, fingerprint, stored)
     # Long campaigns walk many (n, ranks) shapes; the module-level memo
     # tables (tree shapes, block-cyclic maps, ownership permutations)
     # are keyed by them and would otherwise grow without bound.  Within
@@ -264,7 +285,8 @@ def run_task(task: SweepTask) -> dict:
     reset_hot_caches()
     wall = time.perf_counter() - t0
     row = {"label": task.label, "cached": cached, "wall_s": wall}
-    row.update(result_to_dict(result))
+    for name in _result_fields():
+        row[name] = stored[name]
     return row
 
 

@@ -28,8 +28,10 @@ node-efficiency and fabric-jitter draws, matching the DES knobs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +39,7 @@ from repro.cluster.machine import MachineSpec, NetworkParams
 from repro.cluster.placement import Layout, LoadShape, Placement, layout_for
 from repro.energy.power_model import PackagePower
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.perfmodel.timeline import (
-    NodeTimeline,
-    node_timeline,
-    uniform_run_timelines,
-)
+from repro.perfmodel.timeline import node_timeline, uniform_run_timelines
 from repro.solvers.ime.costmodel import ImeCostModel
 from repro.solvers.scalapack.costmodel import ScalapackCostModel
 from repro.solvers.scalapack.grid import ProcessGrid
@@ -339,6 +337,45 @@ def analytic_run(
     )
 
 
+class RepetitionEnergy(NamedTuple):
+    """One repetition of a configuration, reduced to what
+    :class:`~repro.experiments.runner.ConfigResult` aggregates: the
+    duration and the joules summed over nodes — in total, over the
+    package and the DRAM domains, and per domain."""
+
+    duration: float
+    total_j: float
+    package_j: float
+    dram_j: float
+    domain_j: dict
+
+
+def _fold_energy(runs: list[tuple[dict, int]]) -> tuple:
+    """``(total, package, dram, per-domain)`` joules of one repetition.
+
+    ``runs`` holds ``(class energy, node count)`` per run of equal
+    socket occupancies, in node order.  Each sum is the builtin ``sum``
+    over exactly the sequence a walk of the per-node ``node_energy_j``
+    dict of :func:`analytic_run` visits (node order, then domain order),
+    built by list repetition, so every float is that walk's bit for bit.
+    A repeated value is never multiplied by its count instead:
+    ``k * v`` and ``sum([v] * k)`` round differently.
+    """
+    total: list[float] = []
+    package: list[float] = []
+    dram: list[float] = []
+    by_domain: dict[str, list[float]] = {}
+    for energy, count in runs:
+        total += list(energy.values()) * count
+        package += [v for d, v in energy.items()
+                    if d.startswith("package")] * count
+        dram += [v for d, v in energy.items() if d.startswith("dram")] * count
+        for domain, joules in energy.items():
+            by_domain.setdefault(domain, []).extend([joules] * count)
+    return (sum(total), sum(package), sum(dram),
+            {domain: sum(vs) for domain, vs in by_domain.items()})
+
+
 def analytic_repetitions(
     algorithm: str,
     n: int,
@@ -351,11 +388,15 @@ def analytic_repetitions(
     node_efficiency_spread: float = 0.0,
     fabric_jitter: float = 0.0,
     power_cap_w: float | None = None,
-) -> list[AnalyticResult]:
-    """All repetitions of one configuration, batched — bit-identical to
-    ``[analytic_run(..., seed=base_seed + rep) for rep in range(reps)]``.
+) -> list[RepetitionEnergy]:
+    """All repetitions of one configuration, batched and reduced.
 
-    Two redundancies in the reference loop are shared, neither of which
+    Repetition ``rep`` is ``analytic_run(..., seed=base_seed + rep)``
+    folded to a :class:`RepetitionEnergy`: its ``duration``, and its
+    ``total_energy_j``, ``package_energy_j``, ``dram_energy_j`` and
+    ``domain_energy_j(d)`` per domain, every float bit-identical.
+
+    Three redundancies of that reference are shared, none of which
     changes a single float:
 
     * the per-level numpy arrays (``*_analytic_times``), the cost-model
@@ -364,22 +405,32 @@ def analytic_repetitions(
     * within a repetition, every node with the same per-socket occupancy
       runs an identical timeline (uniform bulk-synchronous run), so the
       energy integral is evaluated once per occupancy class (one or two
-      classes per layout) and replicated across nodes.  The occupancies
-      come from :meth:`~repro.cluster.placement.Layout.socket_occupancies`,
-      so no ``Placement`` is built.
+      classes per layout).  The occupancies come from
+      :meth:`~repro.cluster.placement.Layout.socket_occupancies`, so no
+      ``Placement`` is built;
+    * no per-node ``(node, domain)`` dict is built: each sum runs over
+      the class values repeated per run of equal occupancies
+      (:func:`_fold_energy`).
 
     The seeded draws themselves replay the reference order exactly:
     ``default_rng(base_seed + rep)``, node-efficiency vector first, then
     the fabric-jitter scalar.
     """
     algorithm = algorithm.lower()
-    layout, compute0, comm0, cm_msgs, cm_vol, profile, freq_ratio = \
+    layout, compute0, comm0, _msgs, _vol, profile, freq_ratio = \
         _config_base(algorithm, n, ranks, shape, machine, calib, power_cap_w)
     flops_total = (ImeCostModel.flops(n) if algorithm == "ime"
                    else ScalapackCostModel.flops(n))
     dram_bytes_per_node = \
         flops_total * profile.dram_bytes_per_flop / layout.nodes
-    occupancies = layout.socket_occupancies(machine.sockets_per_node)
+    # (occupancy class, first node id, node count) per run, in node order
+    class_runs: list[tuple[tuple[int, ...], int, int]] = []
+    first = 0
+    for per_socket, run in itertools.groupby(
+            layout.socket_occupancies(machine.sockets_per_node)):
+        count = len(list(run))
+        class_runs.append((per_socket, first, count))
+        first += count
 
     results = []
     for rep in range(repetitions):
@@ -388,33 +439,20 @@ def analytic_repetitions(
             node_efficiency_spread, fabric_jitter,
         )
         class_energy: dict[tuple[int, ...], dict] = {}
-        energy: dict = {}
-        for node_id, per_socket in enumerate(occupancies):
-            vals = class_energy.get(per_socket)
-            if vals is None:
-                tl = node_timeline(
-                    node_id, per_socket, machine,
+        for per_socket, first, _count in class_runs:
+            if per_socket not in class_energy:
+                class_energy[per_socket] = node_timeline(
+                    first, per_socket, machine,
                     compute_seconds=compute, comm_seconds=comm,
                     profile=profile,
                     dram_bytes_per_node=dram_bytes_per_node,
                     freq_ratio=freq_ratio,
-                )
-                vals = tl.energy_j(machine)
-                class_energy[per_socket] = vals
-            for domain, joules in vals.items():
-                energy[(node_id, domain)] = joules
-        results.append(AnalyticResult(
-            algorithm=algorithm,
-            n=n,
-            layout=layout,
-            duration=compute + comm,
-            compute_seconds=compute,
-            comm_seconds=comm,
-            node_energy_j=energy,
-            messages=cm_msgs,
-            volume_bytes=cm_vol,
-            freq_ratio=freq_ratio,
-        ))
+                ).energy_j(machine)
+        total, package, dram, per_domain = _fold_energy(
+            [(class_energy[per_socket], count)
+             for per_socket, _first, count in class_runs])
+        results.append(RepetitionEnergy(compute + comm, total, package,
+                                        dram, per_domain))
     return results
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.cluster.machine import MachineSpec
 from repro.cluster.placement import Placement
 from repro.energy.power_model import DramPower, PackagePower
-from repro.energy.rapl import RaplDomain
+from repro.energy.domains import RaplDomain
 
 
 @dataclass(frozen=True)

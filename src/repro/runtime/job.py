@@ -19,8 +19,9 @@ import numpy as np
 from repro.cluster.machine import MachineSpec
 from repro.cluster.network import ClusterFabric
 from repro.cluster.placement import Placement
+from repro.energy.domains import RaplDomain
 from repro.energy.papi import PapiLibrary
-from repro.energy.rapl import RaplDomain, RaplNode
+from repro.energy.rapl import RaplNode
 from repro.perfmodel.calibration import ComputeProfile
 from repro.runtime.context import RankContext
 from repro.simmpi.comm import World

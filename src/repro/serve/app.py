@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import json
+import selectors
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -88,6 +90,9 @@ class CampaignServer(ThreadingHTTPServer):
         self.started = time.monotonic()
         self.counters_lock = threading.Lock()
         self.requests: dict[str, int] = {}
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._stop_requested = False
+        self._stopped = threading.Event()
 
     def handle_error(self, request, client_address) -> None:
         # Keep-alive clients that vanish mid-read are routine under load;
@@ -116,6 +121,41 @@ class CampaignServer(ThreadingHTTPServer):
             "cache": self.tiers.stats(),
             "scheduler": self.scheduler.stats(),
         }
+
+    def serve_forever(self, poll_interval: float | None = None) -> None:
+        """Accept connections until :meth:`shutdown`.
+
+        The stdlib loop wakes every ``poll_interval`` (0.5 s) to look for
+        a stop request, so each stop waited up to half a second, and a
+        short interval wakes a busy daemon's threads for nothing.  This
+        loop sleeps until a client connects or ``shutdown`` writes to the
+        wake-up socket; ``poll_interval`` is accepted and ignored.
+        """
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_r, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    for key, _events in selector.select():
+                        if key.fileobj is self._wake_r:
+                            self._wake_r.recv(1)
+                        elif not self._stop_requested:
+                            self._handle_request_noblock()
+        finally:
+            self._stop_requested = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` (from another thread) and wait."""
+        self._stop_requested = True
+        self._wake_w.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_r.close()
+        self._wake_w.close()
 
     def shutdown_all(self) -> None:
         self.shutdown()

@@ -61,6 +61,25 @@ def test_analytic_and_serving_imports_leave_the_des_unloaded(modules):
     """)
 
 
+RAPL_STACK = ("repro.energy.rapl", "repro.energy.msr",
+              "repro.energy.accounting")
+
+
+@pytest.mark.parametrize("modules", [
+    "repro.experiments.sweep, repro.experiments.runner",
+    "repro.serve.app",
+])
+def test_analytic_and_serving_imports_leave_the_rapl_stack_unloaded(modules):
+    """The analytic energy integral names its domains through
+    ``repro.energy.domains``; the simulated registers stay unloaded."""
+    _run_fresh(f"""
+        import sys
+        import {modules}
+        loaded = sorted(m for m in {RAPL_STACK!r} if m in sys.modules)
+        assert not loaded, loaded
+    """)
+
+
 def test_facade_loads_each_name_on_first_access():
     _run_fresh("""
         import sys

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.energy.domains import RaplDomain
 from repro.energy.msr import (
     MSR_DRAM_ENERGY_STATUS,
     MSR_PKG_ENERGY_STATUS,
@@ -20,7 +21,7 @@ from repro.energy.papi import (
     powercap_event_names,
 )
 from repro.energy.power_model import PowerParams
-from repro.energy.rapl import RaplDomain, RaplNode
+from repro.energy.rapl import RaplNode
 
 
 class FakeClock:

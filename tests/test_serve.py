@@ -11,6 +11,7 @@ streaming, single-flight dedup, model pinning, bounded eviction).
 import copy
 import http.client
 import json
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -89,6 +90,24 @@ def server(tmp_path, monkeypatch):
 
 def port_of(srv):
     return srv.server_address[1]
+
+
+def test_shutdown_of_an_idle_daemon_is_prompt():
+    """shutdown_all() wakes serve_forever at once instead of waiting for
+    the stdlib loop's next 0.5 s poll; the median of five stops keeps a
+    loaded host from flaking it."""
+    waits = []
+    for _ in range(5):
+        srv = create_server(port=0, jobs=2, cache_dir="off")
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        time.sleep(0.05)  # let the loop enter its poll
+        t0 = time.perf_counter()
+        srv.shutdown_all()
+        waits.append(time.perf_counter() - t0)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert statistics.median(waits) < 0.2, waits
 
 
 # -------------------------------------------------------------- endpoints

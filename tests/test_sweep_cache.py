@@ -226,34 +226,112 @@ class TestBatchedAnalytic:
         for shape in (LoadShape.FULL, LoadShape.HALF_ONE_SOCKET)
     ]
 
+    @staticmethod
+    def assert_sums_match_runs(sums, runs, where):
+        """Each ``RepetitionEnergy`` carries its reference run's
+        ``AnalyticResult`` properties, compared by ``repr``."""
+        assert len(sums) == len(runs), where
+        for got, run in zip(sums, runs):
+            domains = list(dict.fromkeys(d for (_n, d) in run.node_energy_j))
+            assert repr(tuple(got)) == repr((
+                run.duration, run.total_energy_j, run.package_energy_j,
+                run.dram_energy_j,
+                {d: run.domain_energy_j(d) for d in domains},
+            )), where
+
     def test_analytic_repetitions_bit_identical_to_loop(self):
+        """Every per-repetition sum equals the property of the reference
+        loop's ``AnalyticResult`` that it replaces, bit for bit."""
         from repro.perfmodel.analytic import (
             analytic_repetitions,
             analytic_run,
         )
         machine = marconi_a3()
         for alg, n, ranks, shape in self.GRID:
-            batched = analytic_repetitions(
-                alg, n, ranks, shape, machine, base_seed=7, repetitions=3,
-                node_efficiency_spread=0.02, fabric_jitter=0.02)
-            loop = [
-                analytic_run(alg, n, ranks, shape, machine, seed=7 + rep,
-                             node_efficiency_spread=0.02,
-                             fabric_jitter=0.02)
-                for rep in range(3)
-            ]
-            assert batched == loop, (alg, n, ranks, shape)
+            for cap in (None, 120.0):
+                sums = analytic_repetitions(
+                    alg, n, ranks, shape, machine, base_seed=7,
+                    repetitions=3, node_efficiency_spread=0.02,
+                    fabric_jitter=0.02, power_cap_w=cap)
+                loop = [
+                    analytic_run(alg, n, ranks, shape, machine, seed=7 + rep,
+                                 node_efficiency_spread=0.02,
+                                 fabric_jitter=0.02, power_cap_w=cap)
+                    for rep in range(3)
+                ]
+                self.assert_sums_match_runs(sums, loop,
+                                            (alg, n, ranks, shape, cap))
+
+    def test_tail_node_occupancy_classes(self, monkeypatch):
+        """A layout with a tail node has two occupancy classes; the
+        per-run fold still equals the reference's per-node dict walk.
+        Table 1 layouts have no tail, so ``layout_for`` is patched to
+        accept one (both engines read it through the module)."""
+        import functools
+
+        from repro.cluster.placement import layout_for
+        from repro.perfmodel import analytic
+        monkeypatch.setattr(analytic, "layout_for",
+                            functools.partial(layout_for, allow_tail=True))
+        machine = marconi_a3()
+        for alg in ("ime", "scalapack"):
+            for ranks, shape in ((169, LoadShape.FULL),
+                                 (169, LoadShape.HALF_TWO_SOCKETS),
+                                 (121, LoadShape.HALF_ONE_SOCKET)):
+                layout = analytic.layout_for(ranks, shape, machine)
+                assert layout.tail_ranks, (ranks, shape)
+                assert len(set(layout.socket_occupancies(2))) == 2
+                sums = analytic.analytic_repetitions(
+                    alg, 8640, ranks, shape, machine, base_seed=1,
+                    repetitions=2, node_efficiency_spread=0.02,
+                    fabric_jitter=0.02)
+                loop = [
+                    analytic.analytic_run(alg, 8640, ranks, shape, machine,
+                                          seed=1 + rep,
+                                          node_efficiency_spread=0.02,
+                                          fabric_jitter=0.02)
+                    for rep in range(2)
+                ]
+                self.assert_sums_match_runs(sums, loop, (alg, ranks, shape))
+
+    def test_fold_matches_the_per_node_walk(self):
+        """Runs of classes in any order, a class recurring after another:
+        each sum equals the builtin ``sum`` over the per-node dict."""
+        from repro.perfmodel.analytic import AnalyticResult, _fold_energy
+        a = {"package-0": 0.1, "dram-0": 0.7, "package-1": 0.2,
+             "dram-1": 1e-17}
+        b = {"package-0": 3.3, "dram-0": 0.01, "package-1": 0.0,
+             "dram-1": 0.0}
+        runs = [(a, 5), (b, 1), (a, 3)]
+        node_energy = {}
+        node = 0
+        for energy, count in runs:
+            for _ in range(count):
+                for domain, joules in energy.items():
+                    node_energy[(node, domain)] = joules
+                node += 1
+        walk = AnalyticResult("ime", 1, None, 1.0, 0.0, 0.0, node_energy,
+                              0.0, 0.0)
+        total, package, dram, per_domain = _fold_energy(runs)
+        assert repr(total) == repr(walk.total_energy_j)
+        assert repr(package) == repr(walk.package_energy_j)
+        assert repr(dram) == repr(walk.dram_energy_j)
+        assert repr(per_domain) == repr(
+            {d: walk.domain_energy_j(d) for d in a})
 
     def test_run_analytic_batch_matches_per_request_runs(self, monkeypatch):
-        """The §5 grid at seed 0, plus its n=8640 slice under a 120 W cap,
-        through run_analytic_batch and run_analytic, against the
-        reference loop."""
+        """The §5 grid, plus its n=8640 slice under a 120 W cap, at base
+        seeds 0, 1 and 7, through run_analytic_batch and run_analytic,
+        against the reference loop."""
         from repro.experiments.runner import run_analytic_batch
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")
         _run_analytic_cached.cache_clear()
         machine = marconi_a3()
-        points = [(task, None) for task in paper_tasks()] + [
-            (task, 120.0) for task in paper_tasks() if task.n == 8640
+        points = [
+            (dataclasses.replace(task, seed=seed), cap)
+            for seed in (0, 1, 7)
+            for task in paper_tasks()
+            for cap in ((None, 120.0) if task.n == 8640 else (None,))
         ]
         requests = [
             {"algorithm": task.algorithm, "n": task.n, "ranks": task.ranks,
@@ -262,7 +340,7 @@ class TestBatchedAnalytic:
             for task, cap in points
         ]
         batched = run_analytic_batch(requests, cache=None)
-        assert len(batched) == len(points) == 90
+        assert len(batched) == len(points) == 270
         for (task, cap), got in zip(points, batched):
             shape = LoadShape(task.shape_value)
             want = reference_analytic(task.algorithm, task.n, task.ranks,
@@ -321,6 +399,53 @@ class TestSweep:
             [t.label for t in tasks]
         warm = run_sweep(jobs=1, tasks=tasks)
         assert warm["from_cache"] == len(tasks)
+
+    def test_warm_row_equals_cold_row(self):
+        """A hit is served as the stored dict: apart from ``cached`` and
+        ``wall_s``, the warm row is the cold row by ``repr``, key order
+        included."""
+        tasks = [
+            SweepTask("analytic", "ime", 8640, 144, "full", repetitions=10),
+            SweepTask("analytic", "scalapack", 17280, 576, "half-1socket",
+                      repetitions=10, seed=7, power_cap_w=120.0),
+        ]
+        keys = ["label", "cached", "wall_s"] + \
+            [field.name for field in dataclasses.fields(ConfigResult)]
+        for task in tasks:
+            cold = run_task(task)
+            _run_analytic_cached.cache_clear()
+            warm = run_task(task)
+            assert (cold["cached"], warm["cached"]) == (False, True)
+            assert list(cold) == list(warm) == keys
+            for row in (cold, warm):
+                del row["cached"], row["wall_s"]
+            assert repr(warm) == repr(cold)
+
+    def test_cli_sweep_json_warm_equals_cold(self, tmp_path):
+        """``repro sweep --json`` twice on one fresh cache root: the warm
+        report's rows are the cold report's, in order and key order,
+        once the volatile fields are dropped."""
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def sweep_rows() -> tuple[int, str]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "sweep", "--json",
+                 "--cache-dir", str(tmp_path / "cache")],
+                capture_output=True, text=True, timeout=120,
+                env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin",
+                     "OPENBLAS_NUM_THREADS": "1"},
+            )
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            rows = [{k: v for k, v in row.items()
+                     if k not in ("cached", "wall_s")}
+                    for row in report["rows"]]
+            return report["from_cache"], json.dumps(rows)
+
+        cold_hits, cold = sweep_rows()
+        warm_hits, warm = sweep_rows()
+        assert (cold_hits, warm_hits) == (0, 72)
+        assert warm == cold
 
     def test_sweep_pool_matches_serial(self):
         """The fork pool must produce the same rows, in task order."""
